@@ -35,9 +35,6 @@ class Subsystem(str, Enum):
 class TrajectoryRecord(NamedTuple):
     step: int
     head: BlochVector
-    tape: BlochVector
-    d2: float | None = None
-    overlap: float | None = None
 
 
 @dataclass(frozen=True)
@@ -85,13 +82,12 @@ def trajectory_bloch(
     steps: int,
     record_every: int = 1,
 ) -> list[TrajectoryRecord]:
-    """Per-step head and tape Bloch vectors of a single trajectory."""
+    """Per-step head Bloch vectors of a single trajectory."""
     out = []
     for n, state in engine.iterate(seq, initial, steps):
         if n % record_every == 0 or n == steps:
             head = engine.bloch_vector(engine.reduce_spin(state, engine.Spin.HEAD))
-            tape = engine.bloch_vector(engine.reduce_spin(state, engine.Spin.TAPE))
-            out.append(TrajectoryRecord(n, head, tape))
+            out.append(TrajectoryRecord(n, head))
     return out
 
 
@@ -127,7 +123,7 @@ def distance_trace(cfg: ExperimentConfig) -> DistanceTrace:
     iter_a = engine.iterate(seq_a, state_a, cfg.steps)
     iter_b = engine.iterate(seq_b, state_b, cfg.steps)
     for (n, sa), (_, sb) in zip(iter_a, iter_b):
-        if n % cfg.record_every == 0:
+        if n % cfg.record_every == 0 or n == cfg.steps:
             d, o = _pair_metrics(sa, sb, cfg.subsystem)
             steps.append(n)
             d2.append(d)

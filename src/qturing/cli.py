@@ -59,9 +59,13 @@ def _config_json(cfg: ScheduleConfig) -> dict:
     }
 
 
+def _json(obj: dict) -> str:
+    """Strict JSON text: a NaN or infinity raises ValueError instead."""
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
 def _write_output(path: Path, payload: str, command: str, config: dict) -> None:
     data = payload.encode("utf-8")
-    path.write_bytes(data)
     manifest = {
         "command": command,
         "config": config,
@@ -69,14 +73,13 @@ def _write_output(path: Path, payload: str, command: str, config: dict) -> None:
         "output": path.name,
         "sha256": hashlib.sha256(data).hexdigest(),
     }
-    manifest_path = path.with_name(path.name + ".manifest.json")
-    manifest_path.write_text(
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    manifest_text = _json(manifest)
+    path.write_bytes(data)
+    path.with_name(path.name + ".manifest.json").write_text(manifest_text, encoding="utf-8")
 
 
 def _emit_report(report: dict, out: str | None, command: str, config: dict) -> None:
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    text = _json(report)
     if out:
         _write_output(Path(out), text, command, config)
     else:
@@ -202,7 +205,7 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
             abs(tape.s2),
             abs(tape.s3 - pred_t3),
         )
-        if dev > args.tolerance and first_fail is None:
+        if not dev <= args.tolerance and first_fail is None:  # NaN fails too
             first_fail = n
         max_dev = max(max_dev, dev)
     passed = first_fail is None
@@ -334,6 +337,11 @@ def main(argv: list[str] | None = None) -> int:
     if getattr(args, "steps", 0) > 10**6:
         parser.error("--steps must be <= 1e6")
     try:
+        if getattr(args, "record_every", 1) < 1:
+            raise ValueError("--record-every must be >= 1")
+        tolerance = getattr(args, "tolerance", 0.0)
+        if not 0.0 <= tolerance < math.inf:  # false for NaN as well
+            raise ValueError(f"--tolerance must be finite and >= 0, got {tolerance}")
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -178,31 +178,62 @@ def orbit_conditions(p: int, q: int, m: int) -> tuple[bool, bool, bool]:
     return c_plus, c_minus, c_angle
 
 
-def periodic_orbit_check(p: int, q: int, m_max: int = 10**6) -> int | None:
+def _factorize(n: int) -> dict[int, int]:
+    """Prime factorization {r: k} of n >= 1 by trial division."""
+    out: dict[int, int] = {}
+    r = 2
+    while r * r <= n:
+        while n % r == 0:
+            out[r] = out.get(r, 0) + 1
+            n //= r
+        r += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def _wall_bound(r: int) -> int:
+    """A multiple b(r) of the Pisano period of the prime r (Wall 1960)."""
+    if r == 2:
+        return 3
+    if r == 5:
+        return 20
+    return r - 1 if r % 5 in (1, 4) else 2 * (r + 1)
+
+
+def periodic_orbit_check(p: int, q: int) -> int:
     """Smallest period n = 2m of the head pattern for alpha1 = (p/q)*pi.
 
-    Scans m = 1..m_max for simultaneous closure of all three conditions,
-    entirely in integer arithmetic; returns None if no closure is found.
+    Every rational alpha1 closes, and the period is found in exact integer
+    arithmetic.  With M = 2q / gcd(p, 2q), the plus and angle conditions of
+    ``orbit_conditions`` say F_{m+2} = F_{m+1} = 1 (mod M), that is
+    (F_m, F_{m+1}) = (0, 1) (mod M), which holds exactly when the Pisano
+    period pi(M) divides m.  Then F_{m-1} = 1 (mod M), so the minus
+    condition holds for even m, and for odd m only when M <= 2.  The
+    closing m are therefore exactly the multiples of one m0, and m0
+    divides N = lcm(W(2q), 2) because pi(M) | pi(2q) | W(2q), where W(2q)
+    is the lcm over the prime powers r^k of 2q of r^(k-1) b(r) (Wall:
+    pi(r^k) | r^(k-1) pi(r) and pi(r) | b(r); the conjectured equality
+    pi(r^k) = r^(k-1) pi(r) is not used).  Dividing N by each of its
+    primes while the conditions still hold at N/r leaves m0.
     """
     if q == 0:
         raise ValueError("q must be nonzero")
     if math.gcd(p, q) != 1:
         raise ValueError(f"(p, q) must be coprime, got ({p}, {q})")
-    mod = 2 * q
-    f_prev, f_cur = 0, 1 % mod  # F_0, F_1
-    for m in range(1, m_max + 1):
-        f_next = (f_prev + f_cur) % mod   # F_{m+1}
-        f_next2 = (f_cur + f_next) % mod  # F_{m+2}
-        c_plus = (p * (f_next2 - 1)) % mod == 0
-        c_angle = (p * (f_next - 1)) % mod == 0
-        if m % 2 == 0:
-            c_minus = (p * (f_prev - 1)) % mod == 0
-        else:
-            c_minus = (p * (f_prev + 1)) % mod == 0
-        if c_plus and c_minus and c_angle:
-            return 2 * m
-        f_prev, f_cur = f_cur, f_next
-    return None
+    if q < 0:
+        p, q = -p, -q
+    n = 2
+    primes = {2}
+    for r, k in _factorize(2 * q).items():
+        b = _wall_bound(r)
+        n = math.lcm(n, r ** (k - 1) * b)
+        primes.add(r)
+        primes.update(_factorize(b))
+    for r in primes:
+        while n % r == 0 and all(orbit_conditions(p, q, n // r)):
+            n //= r
+    return 2 * n
 
 
 def stability_limits(m: int, seq: AngleSequence | None = None) -> StabilityLimits:

@@ -93,6 +93,15 @@ def test_record_every_thins_records():
     assert list(trace.steps) == list(range(0, 101, 10))
 
 
+def test_record_every_keeps_final_step():
+    thin = distance_trace(
+        experiment(ScheduleMode.FIBONACCI, 0.001, 105, Subsystem.HEAD, record_every=10)
+    )
+    full = distance_trace(experiment(ScheduleMode.FIBONACCI, 0.001, 105, Subsystem.HEAD))
+    assert list(thin.steps) == [*range(0, 101, 10), 105]
+    assert thin.d2_at(105) == full.d2_at(105)
+
+
 def test_state_only_perturbation_flag():
     # without schedule re-seeding the gate sequences coincide and the
     # network distance is exactly conserved
@@ -275,4 +284,3 @@ def test_trajectory_bloch_record_shape():
     assert [r.step for r in recs] == [5, 10, 15, 20]
     for r in recs:
         assert abs(r.head.s1) < 1e-12
-        assert r.d2 is None and r.overlap is None

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from qturing import engine
+from qturing import analysis, engine
 from qturing.cli import main, parse_alpha1
 from qturing.schedule import ScheduleMode
 
@@ -132,6 +132,13 @@ def test_distance_record_every(tmp_path):
     assert [r["n"] for r in read_csv(out)] == ["0", "20", "40", "60", "80", "100"]
 
 
+def test_distance_record_every_writes_final_step(tmp_path):
+    out = tmp_path / "thin.csv"
+    run_cli("distance", "--alpha1", "2/5", "--steps", "105", "--record-every", "10",
+            "--out", str(out))
+    assert [r["n"] for r in read_csv(out)][-2:] == ["100", "105"]
+
+
 # --- stability -------------------------------------------------------------------------
 
 def test_stability_report(tmp_path, capsys):
@@ -220,6 +227,44 @@ def test_steps_bounds_rejected(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run_cli("oracle-check", "--alpha1", "0.3", "--steps", "2000000")
     assert exc.value.code == 2
+
+
+def assert_usage_error(capsys, *argv):
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "-0.5"])
+def test_oracle_check_rejects_bad_tolerance(capsys, tolerance):
+    assert_usage_error(capsys, "oracle-check", "--alpha1", "0.3", "--steps", "10",
+                       "--tolerance", tolerance)
+
+
+@pytest.mark.parametrize("command", ["pattern", "distance"])
+def test_record_every_zero_rejected(tmp_path, capsys, command):
+    out = tmp_path / "x.csv"
+    assert_usage_error(capsys, command, "--alpha1", "0.3", "--steps", "10",
+                       "--record-every", "0", "--out", str(out))
+    assert not out.exists()
+
+
+def test_oracle_check_fails_on_nan_deviation(capsys, monkeypatch):
+    nan = float("nan")
+    monkeypatch.setattr(engine, "bloch_vector", lambda rho: engine.BlochVector(nan, nan, nan))
+    assert run_cli("oracle-check", "--alpha1", "0.3", "--steps", "10") == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["pass"] is False
+    assert report["first_failing_step"] == 1
+
+
+def test_nan_in_report_is_error_and_writes_nothing(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(analysis, "lyapunov_estimate", lambda trace, window: float("nan"))
+    assert_usage_error(capsys, "lyapunov", "--alpha1", "2/5", "--steps", "60",
+                       "--out", str(tmp_path / "rate.json"))
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_version_flag(capsys):

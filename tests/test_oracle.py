@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qturing import engine, oracle
 from qturing.engine import Spin, TapeState
@@ -198,8 +200,36 @@ def test_orbit_conditions_close_at_twenty_cycles():
     assert not all(orbit_conditions(2, 5, 19))
 
 
-def test_orbit_search_bound_returns_none():
-    assert periodic_orbit_check(2, 5, m_max=10) is None
+def scan_period(p, q):
+    """Brute-force reference: the first m with all three closure conditions."""
+    mod = 2 * q
+    f_prev, f_cur = 0, 1 % mod  # F_0, F_1
+    m = 0
+    while True:
+        m += 1
+        f_next = (f_prev + f_cur) % mod   # F_{m+1}
+        f_next2 = (f_cur + f_next) % mod  # F_{m+2}
+        c_plus = (p * (f_next2 - 1)) % mod == 0
+        c_angle = (p * (f_next - 1)) % mod == 0
+        if m % 2 == 0:
+            c_minus = (p * (f_prev - 1)) % mod == 0
+        else:
+            c_minus = (p * (f_prev + 1)) % mod == 0
+        if c_plus and c_minus and c_angle:
+            return 2 * m
+        f_prev, f_cur = f_cur, f_next
+
+
+@settings(max_examples=150, deadline=None)
+@given(q=st.integers(1, 1500), p=st.integers(-3000, 3000))
+def test_orbit_period_matches_brute_force_scan(p, q):
+    assume(math.gcd(p, q) == 1)
+    assert periodic_orbit_check(p, q) == periodic_orbit_check(-p, -q) == scan_period(p, q)
+
+
+def test_orbit_period_beyond_former_search_cap():
+    # the true period exceeds the 10**6 cycles the old linear scan tried
+    assert periodic_orbit_check(1, 999983) == 3999936
 
 
 def test_orbit_rejects_bad_fractions():
@@ -210,14 +240,13 @@ def test_orbit_rejects_bad_fractions():
 
 
 def test_orbit_periods_divisible_by_four_for_nondegenerate_angles():
-    # sin(alpha1) != 0 (q >= 2): every closed orbit found has period 0 mod 4;
+    # sin(alpha1) != 0 (q >= 2): every orbit has period 0 mod 4;
     # the degenerate alpha1 = pi family (q = 1) admits period 6
     for q in range(2, 13):
         for p in range(1, 2 * q):
             if math.gcd(p, q) == 1:
-                period = periodic_orbit_check(p, q, m_max=10**5)
-                if period is not None:
-                    assert period % 4 == 0, (p, q, period)
+                period = periodic_orbit_check(p, q)
+                assert period % 4 == 0, (p, q, period)
     assert periodic_orbit_check(1, 1) == 6
 
 
