@@ -30,6 +30,7 @@ from .engine import (
     init_state,
     iterate,
     overlap_sq,
+    pair_metrics,
     reduce_spin,
     run,
 )
@@ -82,6 +83,7 @@ __all__ = [
     "iterate",
     "lyapunov_estimate",
     "overlap_sq",
+    "pair_metrics",
     "periodic_orbit_check",
     "perturbed_cumulative_periodic",
     "reduce_spin",

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -81,26 +81,26 @@ def trajectory_bloch(
     initial: np.ndarray,
     steps: int,
     record_every: int = 1,
-) -> list[TrajectoryRecord]:
-    """Per-step head Bloch vectors of a single trajectory."""
-    out = []
+) -> Iterator[TrajectoryRecord]:
+    """Head Bloch vectors of a single trajectory, yielded as it advances:
+    every ``record_every`` steps and at the last step."""
     for n, state in engine.iterate(seq, initial, steps):
         if n % record_every == 0 or n == steps:
             head = engine.bloch_vector(engine.reduce_spin(state, engine.Spin.HEAD))
-            out.append(TrajectoryRecord(n, head))
-    return out
+            yield TrajectoryRecord(n, head)
+
+
+_SPIN = {
+    Subsystem.HEAD: engine.Spin.HEAD,
+    Subsystem.TAPE: engine.Spin.TAPE,
+    Subsystem.NETWORK: None,
+}
 
 
 def _pair_metrics(
     state_a: np.ndarray, state_b: np.ndarray, subsystem: Subsystem
 ) -> tuple[float, float]:
-    ov = engine.overlap_sq(state_a, state_b)
-    if subsystem is Subsystem.NETWORK:
-        return 2.0 * (1.0 - ov), ov
-    spin = engine.Spin.HEAD if subsystem is Subsystem.HEAD else engine.Spin.TAPE
-    rho_a = engine.reduce_spin(state_a, spin)
-    rho_b = engine.reduce_spin(state_b, spin)
-    return engine.distance_sq(rho_a, rho_b), ov
+    return engine.pair_metrics(state_a, state_b, _SPIN[subsystem])
 
 
 def distance_trace(cfg: ExperimentConfig) -> DistanceTrace:

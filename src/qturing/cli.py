@@ -19,9 +19,12 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import re
 import sys
+from itertools import chain, islice
 from pathlib import Path
+from typing import Iterable, Iterator, NoReturn
 
 from . import __version__, analysis, engine, oracle
 from .analysis import ExperimentConfig, Subsystem
@@ -29,6 +32,9 @@ from .engine import TapeState
 from .schedule import LOG_GOLDEN_RATIO, AngleSequence, ScheduleConfig, ScheduleMode
 
 _EXACT_RE = re.compile(r"^\s*([+-]?\d+)\s*/\s*(\d+)\s*$")
+
+#: CSV rows joined per write while an output streams to disk
+_CHUNK_ROWS = 4096
 
 
 def _fmt(x: float) -> str:
@@ -64,24 +70,62 @@ def _json(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def _write_output(path: Path, payload: str, command: str, config: dict) -> None:
-    data = payload.encode("utf-8")
-    manifest = {
-        "command": command,
-        "config": config,
-        "version": __version__,
-        "output": path.name,
-        "sha256": hashlib.sha256(data).hexdigest(),
-    }
-    manifest_text = _json(manifest)
-    path.write_bytes(data)
-    path.with_name(path.name + ".manifest.json").write_text(manifest_text, encoding="utf-8")
+def _chunks(lines: Iterable[str]) -> Iterator[str]:
+    """Newline-terminated text of ``lines``, joined _CHUNK_ROWS lines at a time."""
+    it = iter(lines)
+    while batch := list(islice(it, _CHUNK_ROWS)):
+        yield "\n".join(batch) + "\n"
+
+
+def _write_output(path: Path, chunks: Iterable[str], command: str, config: dict) -> None:
+    """Write the text ``chunks`` to ``path`` and its manifest: both or neither.
+
+    The text streams into a temporary file beside ``path`` while its SHA-256
+    is updated; the manifest goes to a second temporary file, and only then
+    are both moved into place with os.replace.  On any exception, raised by
+    the writing or by whatever produces ``chunks``, the temporary files are
+    removed, and so are an output already moved into place and the manifest
+    it did not get.
+    """
+    manifest_path = path.with_name(path.name + ".manifest.json")
+    suffix = f".{os.getpid()}.{os.urandom(4).hex()}.tmp"
+    tmp_data = path.with_name(f".{path.name}{suffix}")
+    tmp_manifest = path.with_name(f".{manifest_path.name}{suffix}")
+    placed = False
+    try:
+        digest = hashlib.sha256()
+        try:
+            fh = open(tmp_data, "xb")
+        except OSError as exc:  # name the requested output, not the temporary file
+            raise OSError(exc.errno, exc.strerror, str(path)) from None
+        with fh:
+            for chunk in chunks:
+                data = chunk.encode("utf-8")
+                digest.update(data)
+                fh.write(data)
+        manifest = {
+            "command": command,
+            "config": config,
+            "version": __version__,
+            "output": path.name,
+            "sha256": digest.hexdigest(),
+        }
+        with open(tmp_manifest, "xb") as fh:
+            fh.write(_json(manifest).encode("utf-8"))
+        os.replace(tmp_data, path)
+        placed = True
+        os.replace(tmp_manifest, manifest_path)
+    except BaseException:
+        stale = (path, manifest_path) if placed else ()
+        for leftover in (tmp_data, tmp_manifest, *stale):
+            leftover.unlink(missing_ok=True)
+        raise
 
 
 def _emit_report(report: dict, out: str | None, command: str, config: dict) -> None:
     text = _json(report)
     if out:
-        _write_output(Path(out), text, command, config)
+        _write_output(Path(out), [text], command, config)
     else:
         sys.stdout.write(text)
 
@@ -91,12 +135,10 @@ def cmd_pattern(args: argparse.Namespace) -> int:
     seq = AngleSequence(schedule)
     initial = engine.init_state(args.head_angle, TapeState(args.tape))
     records = analysis.trajectory_bloch(seq, initial, args.steps, args.record_every)
-    lines = ["n,s1,s2,s3,purity"]
-    for rec in records:
-        h = rec.head
-        lines.append(
-            f"{rec.step},{_fmt(h.s1)},{_fmt(h.s2)},{_fmt(h.s3)},{_fmt(h.length_sq())}"
-        )
+    rows = (
+        f"{n},{_fmt(h.s1)},{_fmt(h.s2)},{_fmt(h.s3)},{_fmt(h.length_sq())}"
+        for n, h in records
+    )
     config = {
         "schedule": _config_json(schedule),
         "steps": args.steps,
@@ -104,7 +146,7 @@ def cmd_pattern(args: argparse.Namespace) -> int:
         "tape": args.tape,
         "record_every": args.record_every,
     }
-    _write_output(Path(args.out), "\n".join(lines) + "\n", "pattern", config)
+    _write_output(Path(args.out), _chunks(chain(["n,s1,s2,s3,purity"], rows)), "pattern", config)
     return 0
 
 
@@ -118,9 +160,8 @@ def cmd_distance(args: argparse.Namespace) -> int:
         record_every=args.record_every,
     )
     trace = analysis.distance_trace(cfg)
-    lines = ["n,d2,overlap"]
-    for n, d2, ov in zip(trace.steps, trace.d2, trace.overlap):
-        lines.append(f"{n},{_fmt(d2)},{_fmt(ov)}")
+    columns = trace.steps.tolist(), trace.d2.tolist(), trace.overlap.tolist()
+    rows = (f"{n},{_fmt(d2)},{_fmt(ov)}" for n, d2, ov in zip(*columns))
     config = {
         "schedule": _config_json(schedule),
         "delta": args.delta,
@@ -128,7 +169,7 @@ def cmd_distance(args: argparse.Namespace) -> int:
         "subsystem": args.subsystem,
         "record_every": args.record_every,
     }
-    _write_output(Path(args.out), "\n".join(lines) + "\n", "distance", config)
+    _write_output(Path(args.out), _chunks(chain(["n,d2,overlap"], rows)), "distance", config)
     return 0
 
 
@@ -261,8 +302,16 @@ def _parse_deltas(text: str) -> list[float]:
     return vals
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors are one ``error:`` line and exit 2."""
+
+    def error(self, message: str) -> NoReturn:
+        print(f"error: {message}", file=sys.stderr)
+        raise SystemExit(2)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qturing",
         description="Deterministic two-spin quantum Turing network toolkit.",
     )

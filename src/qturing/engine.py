@@ -36,7 +36,7 @@ SIGMA2 = 1j * SIGMA1 @ SIGMA3
 PAULI = (SIGMA1, SIGMA2, SIGMA3)
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
-_QCNOT_PERM = (1, 0, 2, 3)
+_QCNOT_PERM = np.array([1, 0, 2, 3])
 
 
 class TapeState(str, Enum):
@@ -84,7 +84,7 @@ def apply_head_rotation(state: np.ndarray, alpha: float) -> np.ndarray:
     """Rotate the head spin: multiply by exp(-i sigma1 alpha / 2) (x) 1."""
     c = math.cos(alpha / 2.0)
     s = -1j * math.sin(alpha / 2.0)
-    c0, c1, c2, c3 = state
+    c0, c1, c2, c3 = state.tolist()
     return np.array(
         [c * c0 + s * c2, c * c1 + s * c3, s * c0 + c * c2, s * c1 + c * c3]
     )
@@ -92,7 +92,7 @@ def apply_head_rotation(state: np.ndarray, alpha: float) -> np.ndarray:
 
 def apply_qcnot(state: np.ndarray) -> np.ndarray:
     """Conditional NOT: flip the tape when the head is |-1> (c0 <-> c1)."""
-    return state[list(_QCNOT_PERM)]
+    return state[_QCNOT_PERM]
 
 
 def iterate(
@@ -157,6 +157,37 @@ def distance_sq(rho_a: np.ndarray, rho_b: np.ndarray) -> float:
         raise ValueError(f"dimension mismatch: {rho_a.shape} vs {rho_b.shape}")
     d = rho_a - rho_b
     return float(np.sum((d * d.conj()).real))
+
+
+def pair_metrics(
+    state_a: np.ndarray, state_b: np.ndarray, spin: Spin | str | None = None
+) -> tuple[float, float]:
+    """Squared distance and squared overlap of two network states.
+
+    Returns (d2, |<b|a>|^2).  With ``spin`` None d2 is the network distance
+    2 (1 - |<b|a>|^2); otherwise it is Tr[(rho_a - rho_b)^2] for the reduced
+    state of that spin, i.e. the value of ``distance_sq`` on the two
+    ``reduce_spin`` matrices.  Everything is summed from the eight
+    amplitudes as Python scalars: numpy's per-call overhead dominates
+    4-vector arithmetic.  For the head rho_hh' = sum_t c[2h+t] conj(c[2h'+t])
+    and d2 = (drho_00)^2 + (drho_11)^2 + 2 |drho_01|^2; the tape uses the
+    same formula with c[1] and c[2] swapped.
+    """
+    a0, a1, a2, a3 = state_a.tolist()
+    b0, b1, b2, b3 = state_b.tolist()
+    z = b0.conjugate() * a0 + b1.conjugate() * a1 + b2.conjugate() * a2 + b3.conjugate() * a3
+    ov = z.real * z.real + z.imag * z.imag
+    if spin is None:
+        return 2.0 * (1.0 - ov), ov
+    if spin is not Spin.HEAD and Spin(spin) is Spin.TAPE:
+        a1, a2 = a2, a1
+        b1, b2 = b2, b1
+    a0c, a1c, a2c, a3c = a0.conjugate(), a1.conjugate(), a2.conjugate(), a3.conjugate()
+    b0c, b1c, b2c, b3c = b0.conjugate(), b1.conjugate(), b2.conjugate(), b3.conjugate()
+    d00 = (a0 * a0c + a1 * a1c).real - (b0 * b0c + b1 * b1c).real
+    d11 = (a2 * a2c + a3 * a3c).real - (b2 * b2c + b3 * b3c).real
+    d01 = (a0 * a2c + a1 * a3c) - (b0 * b2c + b1 * b3c)
+    return d00 * d00 + d11 * d11 + 2.0 * (d01.real * d01.real + d01.imag * d01.imag), ov
 
 
 def overlap_sq(psi_a: np.ndarray, psi_b: np.ndarray) -> float:

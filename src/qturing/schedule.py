@@ -55,23 +55,25 @@ def fib(n: int) -> int:
 
 
 def fib_mod(n: int, mod: int) -> int:
-    """F_n mod ``mod`` by fast doubling, O(log n)."""
+    """F_n mod ``mod`` by fast doubling, O(log n).
+
+    Walks the bits of n from the top, keeping (F_k, F_{k+1}) mod ``mod``
+    for the prefix k read so far: F_2k = F_k (2 F_{k+1} - F_k) and
+    F_{2k+1} = F_k^2 + F_{k+1}^2.
+    """
     if n < 0:
         raise ValueError(f"negative Fibonacci index: {n}")
     if mod <= 0:
         raise ValueError(f"modulus must be positive, got {mod}")
-
-    def doubling(k: int) -> tuple[int, int]:
-        if k == 0:
-            return 0, 1
-        a, b = doubling(k >> 1)
+    a, b = 0, 1
+    for bit in bin(n)[2:]:
         c = (a * ((2 * b - a) % mod)) % mod
         d = (a * a + b * b) % mod
-        if k & 1:
-            return d, (c + d) % mod
-        return c, d
-
-    return doubling(n)[0]
+        if bit == "1":
+            a, b = d, (c + d) % mod
+        else:
+            a, b = c, d
+    return a
 
 
 @dataclass(frozen=True)
@@ -126,10 +128,12 @@ class ScheduleConfig:
 class AngleSequence:
     """Iterator state of one schedule plus cached cumulative quantities.
 
-    The recurrence advances a rolling pair (a_{m-1}, a_m) mod 2*pi; emitted
-    values and the running sums consumed by the closed-form predictions are
-    cached so random access is O(1) after a single forward pass.  Instances
-    are single-owner: advance one sequence per thread.
+    The recurrence advances a rolling pair (a_{m-1}, a_m) mod 2*pi, or in
+    exact mode the integer pair (F_{m-1}, F_m) mod 2q; emitted values and
+    the running sums consumed by the closed-form predictions are cached so
+    random access is O(1) after a single forward pass.  The exact path
+    without delta skips the caches and reads each value from ``fib_mod``.
+    Instances are single-owner: advance one sequence per thread.
     """
 
     config: ScheduleConfig
@@ -139,6 +143,7 @@ class AngleSequence:
     _sum_a: list[float] = field(init=False)      # a_m + a_{m-2} + ... (A_m)
     _sum_b: list[float] = field(init=False)      # a_{m-1} + a_{m-3} + ... (B_m)
     _dfib: list[float] = field(init=False)       # delta * F_m mod 2*pi
+    _fib: tuple[int, int] = field(init=False)    # (F_{k-1}, F_k) mod 2q at the last cached k
 
     def __post_init__(self) -> None:
         a0 = wrap_angle(self.config.delta)
@@ -152,6 +157,7 @@ class AngleSequence:
         self._sum_a = [0.0, a1]
         self._sum_b = [0.0, 0.0]
         self._dfib = [0.0, wrap_angle(self.config.delta)]
+        self._fib = (0, 1)
 
     # -- recurrence -------------------------------------------------------
 
@@ -161,29 +167,39 @@ class AngleSequence:
         return math.pi * ((p * fib_mod(m, 2 * q)) % (2 * q)) / q
 
     def _grow(self, m: int) -> None:
+        ang = self._ang
+        k = len(ang)
+        if k > m:
+            return
         cfg = self.config
+        cum, alt, sum_a, sum_b, dfib = self._cum, self._alt, self._sum_a, self._sum_b, self._dfib
         exact = cfg.exact is not None and cfg.mode is ScheduleMode.FIBONACCI
-        while len(self._ang) <= m:
-            k = len(self._ang)
-            prev2, prev1 = self._ang[k - 2], self._ang[k - 1]
-            if cfg.mode is ScheduleMode.FIBONACCI:
-                if exact:
-                    nxt = wrap_angle(
-                        self._exact_base(k)
-                        + (self._dfib[k - 1] if cfg.delta != 0.0 else 0.0)
-                    )
-                else:
-                    nxt = wrap_angle(prev2 + prev1)
+        if exact:
+            p, q = cfg.exact  # type: ignore[misc]
+            mod = 2 * q
+            f_prev, f = self._fib
+        prev2, prev1 = ang[k - 2], ang[k - 1]
+        while k <= m:
+            if exact:
+                f_prev, f = f, (f_prev + f) % mod
+                # _exact_base(k) plus the seed term; dfib is all zeros for delta = 0
+                nxt = wrap_angle(math.pi * ((p * f) % mod) / q + dfib[k - 1])
+            elif cfg.mode is ScheduleMode.FIBONACCI:
+                nxt = wrap_angle(prev2 + prev1)
             elif cfg.mode is ScheduleMode.ARITHMETIC:
                 nxt = wrap_angle(2.0 * prev1 - prev2)
             else:
                 nxt = wrap_angle(cfg.alpha1)
-            self._ang.append(nxt)
-            self._cum.append(wrap_angle(self._cum[k - 1] + nxt))
-            self._alt.append(wrap_angle(self._alt[k - 1] + (-1) ** k * nxt))
-            self._sum_a.append(wrap_angle(self._sum_a[k - 2] + nxt))
-            self._sum_b.append(wrap_angle(self._sum_b[k - 2] + prev1))
-            self._dfib.append(wrap_angle(self._dfib[k - 1] + self._dfib[k - 2]))
+            ang.append(nxt)
+            cum.append(wrap_angle(cum[k - 1] + nxt))
+            alt.append(wrap_angle(alt[k - 1] - nxt if k % 2 else alt[k - 1] + nxt))
+            sum_a.append(wrap_angle(sum_a[k - 2] + nxt))
+            sum_b.append(wrap_angle(sum_b[k - 2] + prev1))
+            dfib.append(wrap_angle(dfib[k - 1] + dfib[k - 2]))
+            prev2, prev1 = prev1, nxt
+            k += 1
+        if exact:
+            self._fib = (f_prev, f)
 
     # -- operations -------------------------------------------------------
 

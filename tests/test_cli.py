@@ -251,6 +251,104 @@ def test_record_every_zero_rejected(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["pattern", "--alpha1", "0.3", "--tape", "plus_one", "--out", "x.csv"],
+    ["oracle-check", "--alpha1", "0.3", "--tolerance", "-1e-9"],
+    ["pattern", "--alpha1", "0.3", "--steps", "0", "--out", "x.csv"],
+])
+def test_argparse_errors_are_one_line(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
+class _Abort(Exception):
+    pass
+
+
+def _fail_after(monkeypatch, tmp_path, calls):
+    """Make the head Bloch vector raise after ``calls`` rows, once the
+    output has started streaming into its temporary file."""
+    real = engine.bloch_vector
+    count = [0]
+
+    def flaky(rho):
+        count[0] += 1
+        if count[0] > calls:
+            (tmp,) = tmp_path.glob(".pattern.csv.*.tmp")
+            assert tmp.stat().st_size > 0
+            raise _Abort
+        return real(rho)
+
+    monkeypatch.setattr(engine, "bloch_vector", flaky)
+
+
+def test_failure_mid_write_leaves_nothing(tmp_path, monkeypatch):
+    _fail_after(monkeypatch, tmp_path, 9000)
+    with pytest.raises(_Abort):
+        run_cli("pattern", "--alpha1", "2/5", "--steps", "10000",
+                "--out", str(tmp_path / "pattern.csv"))
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failure_mid_write_keeps_earlier_output(tmp_path, monkeypatch):
+    out = tmp_path / "pattern.csv"
+    manifest = tmp_path / "pattern.csv.manifest.json"
+    assert run_cli("pattern", "--alpha1", "0.3", "--steps", "10", "--out", str(out)) == 0
+    before = (out.read_bytes(), manifest.read_bytes())
+    _fail_after(monkeypatch, tmp_path, 9000)
+    with pytest.raises(_Abort):
+        run_cli("pattern", "--alpha1", "2/5", "--steps", "10000", "--out", str(out))
+    assert sorted(tmp_path.iterdir()) == [out, manifest]
+    assert (out.read_bytes(), manifest.read_bytes()) == before
+
+
+def test_failed_manifest_move_leaves_neither_file(tmp_path, monkeypatch):
+    import os
+
+    out = tmp_path / "pattern.csv"
+    assert run_cli("pattern", "--alpha1", "0.3", "--steps", "10", "--out", str(out)) == 0
+    real_replace = os.replace
+
+    def replace(src, dst):
+        if str(dst).endswith(".manifest.json"):
+            raise _Abort
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    with pytest.raises(_Abort):
+        run_cli("pattern", "--alpha1", "2/5", "--steps", "10", "--out", str(out))
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_missing_output_directory_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "absent" / "pattern.csv"
+    assert run_cli("pattern", "--alpha1", "0.3", "--steps", "10", "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert repr(str(out)) in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_streamed_pattern_matches_joined_text(tmp_path):
+    # more rows than one write chunk: the streamed bytes equal the rows joined at once
+    out = tmp_path / "pat.csv"
+    assert run_cli("pattern", "--alpha1", "0.3", "--steps", "9000", "--out", str(out)) == 0
+    seq = analysis.AngleSequence(parse_alpha1("0.3", ScheduleMode.FIBONACCI, 0.0))
+    recs = analysis.trajectory_bloch(seq, engine.init_state(0.0), 9000)
+    lines = ["n,s1,s2,s3,purity"] + [
+        f"{n},{h.s1:.17g},{h.s2:.17g},{h.s3:.17g},{h.length_sq():.17g}" for n, h in recs
+    ]
+    data = ("\n".join(lines) + "\n").encode("utf-8")
+    assert out.read_bytes() == data
+    manifest = json.loads((tmp_path / "pat.csv.manifest.json").read_text())
+    assert manifest["sha256"] == hashlib.sha256(data).hexdigest()
+
+
 def test_oracle_check_fails_on_nan_deviation(capsys, monkeypatch):
     nan = float("nan")
     monkeypatch.setattr(engine, "bloch_vector", lambda rho: engine.BlochVector(nan, nan, nan))

@@ -22,6 +22,7 @@ from qturing.engine import (
     iterate,
     norm_sq,
     overlap_sq,
+    pair_metrics,
     reduce_spin,
     run,
 )
@@ -359,3 +360,54 @@ def test_gate_sequence_matches_matrix_products(alpha1, delta):
 def test_qcnot_matrix_is_self_inverse():
     u = _qcnot_matrix()
     np.testing.assert_allclose(u @ u, np.eye(4), atol=1e-15)
+
+
+# --- pair metrics from amplitudes ------------------------------------------------
+
+@settings(max_examples=200, deadline=None)
+@given(sa=state_strategy, sb=state_strategy)
+def test_pair_metrics_match_density_matrix_route(sa, sb):
+    ov_ref = overlap_sq(sa, sb)
+    for spin in (Spin.HEAD, Spin.TAPE):
+        d2, ov = pair_metrics(sa, sb, spin)
+        ref = distance_sq(reduce_spin(sa, spin), reduce_spin(sb, spin))
+        # both routes round within ~3 ulp of the exact value, so they can
+        # differ by 5 ulp (1.1e-15) where d2 lies in (1, 2]
+        assert d2 == pytest.approx(ref, rel=1e-15, abs=1e-15)
+        assert abs(ov - ov_ref) <= 1e-15
+    d2, ov = pair_metrics(sa, sb)
+    assert abs(ov - ov_ref) <= 1e-15
+    assert d2 == 2.0 * (1.0 - ov)
+
+
+@settings(max_examples=100, deadline=None)
+@given(state=state_strategy)
+def test_pair_metrics_vanish_for_identical_states(state):
+    for spin in (Spin.HEAD, Spin.TAPE, "head", "tape"):
+        assert pair_metrics(state, state.copy(), spin)[0] == 0.0
+    d2, ov = pair_metrics(state, state.copy())
+    # the network distance is 2 (1 - |<a|a>|^2): zero up to the rounding of the norm
+    assert abs(ov - 1.0) <= 1e-15
+    assert d2 == 2.0 * (1.0 - ov)
+
+
+def test_pair_metrics_tape_is_not_head():
+    # tape flipped, head untouched: only the tape and network distances move
+    a = init_state(0.3)
+    b = init_state(0.3, TapeState.PLUS_ONE)
+    assert pair_metrics(a, b, Spin.HEAD)[0] == pytest.approx(0.0, abs=1e-15)
+    assert pair_metrics(a, b, Spin.TAPE)[0] == pytest.approx(2.0, abs=1e-15)
+    assert pair_metrics(a, b) == pytest.approx((2.0, 0.0), abs=1e-15)
+
+
+def test_pair_metrics_rejects_unknown_spin():
+    with pytest.raises(ValueError):
+        pair_metrics(init_state(0.0), init_state(0.1), "network")
+
+
+def test_gates_return_complex_ndarrays():
+    state = init_state(0.4, TapeState.PLUS)
+    for out in (apply_head_rotation(state, 1.3), apply_head_rotation(state, 0.0), apply_qcnot(state)):
+        assert isinstance(out, np.ndarray)
+        assert out.dtype == np.complex128
+        assert out.shape == (4,)

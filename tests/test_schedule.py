@@ -51,6 +51,12 @@ def test_fib_mod_matches_iteration(mod):
         a, b = b, a + b
 
 
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(min_value=0, max_value=3000), mod=st.integers(min_value=1, max_value=10**12))
+def test_fib_mod_matches_exact_fibonacci(n, mod):
+    assert fib_mod(n, mod) == fib(n) % mod
+
+
 def test_fib_mod_large_index():
     # independent iterative oracle at a sparse large index
     mod = 10
@@ -328,3 +334,51 @@ def test_mode_accepts_plain_string():
 def test_wrap_angle_range():
     for x in (-1e-9, -10.0, 0.0, 1.0, 7.0, 1e6):
         assert 0.0 <= wrap_angle(x) < TWO_PI
+
+
+# --- exact-mode growth from a carried residue pair --------------------------------
+
+def reference_exact_angles(p, q, delta, count):
+    """a_1..a_count of the exact+delta path, each base angle from its own fib_mod."""
+    dfib = [0.0, wrap_angle(delta)]
+    while len(dfib) < count:
+        dfib.append(wrap_angle(dfib[-1] + dfib[-2]))
+    out = [math.pi * ((p * fib_mod(1, 2 * q)) % (2 * q)) / q]
+    for k in range(2, count + 1):
+        out.append(wrap_angle(math.pi * ((p * fib_mod(k, 2 * q)) % (2 * q)) / q + dfib[k - 1]))
+    return out
+
+
+@pytest.mark.parametrize("p,q", [(2, 5), (1, 3), (7, 13), (355, 113), (1, 999983), (3, 1)])
+def test_exact_delta_growth_in_uneven_chunks_is_bit_identical(p, q):
+    m_max = 3000
+    seq = AngleSequence(ScheduleConfig.exact_pi(p, q, delta=1e-3))
+    got = [None] * (m_max + 1)
+    m = 0
+    for i, chunk in enumerate([1, 1, 2, 3, 7, 50, 1, 999, 13, 400, 1523]):
+        # queries of every kind at, below and above the grown length
+        seq.cumulative_plus(m + chunk // 2)
+        seq.cumulative_minus(2 * m + 1)
+        seq.delta_fib(m + chunk)
+        seq.cumulative_plus(max(m - 5, 0))
+        for k in range(m + 1, m + chunk + 1):
+            got[k] = seq.angle(k)
+        m += chunk
+        assert seq.angle(max(m - i, 1)) == got[max(m - i, 1)]
+    assert m == m_max
+    assert got[1:] == reference_exact_angles(p, q, 1e-3, m_max)
+    whole = AngleSequence(ScheduleConfig.exact_pi(p, q, delta=1e-3))
+    assert whole.cumulative_plus(m_max) == seq.cumulative_plus(m_max)
+    assert whole.cumulative_minus(2 * m_max) == seq.cumulative_minus(2 * m_max)
+
+
+def test_exact_delta_growth_needs_no_fib_mod(monkeypatch):
+    import qturing.schedule as schedule
+
+    seq = AngleSequence(ScheduleConfig.exact_pi(7, 13, delta=1e-3))
+    calls = []
+    monkeypatch.setattr(schedule, "fib_mod", lambda n, mod: calls.append(n) or fib_mod(n, mod))
+    for m in range(1, 2001):
+        seq.angle(m)
+        seq.cumulative_plus(m // 2)
+    assert calls == []
