@@ -13,14 +13,13 @@ traces.  Each experiment is an independent pure computation.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterator, NamedTuple
 
-import numpy as np
-
 from . import engine, oracle
-from .engine import BlochVector
+from .engine import BlochVector, State
 from .schedule import AngleSequence, ScheduleConfig
 
 _SATURATION_GUARD = 0.5  # keep divergence fits clear of the d2 <= 2 ceiling
@@ -60,25 +59,27 @@ class ExperimentConfig:
 class DistanceTrace:
     """Recorded (step, squared distance, squared network overlap) triples."""
 
-    steps: np.ndarray
-    d2: np.ndarray
-    overlap: np.ndarray
+    steps: tuple[int, ...]
+    d2: tuple[float, ...]
+    overlap: tuple[float, ...]
 
     def d2_at(self, step: int) -> float:
-        idx = np.searchsorted(self.steps, step)
+        idx = bisect_left(self.steps, step)
         if idx == len(self.steps) or self.steps[idx] != step:
             raise KeyError(f"step {step} was not recorded")
-        return float(self.d2[idx])
+        return self.d2[idx]
 
     def presaturation_end(self, threshold: float = _SATURATION_GUARD) -> int:
         """First recorded step whose d2 reaches ``threshold`` (or last step)."""
-        hit = np.nonzero(self.d2 >= threshold)[0]
-        return int(self.steps[hit[0]]) if len(hit) else int(self.steps[-1])
+        for n, d2 in zip(self.steps, self.d2):
+            if d2 >= threshold:
+                return n
+        return self.steps[-1]
 
 
 def trajectory_bloch(
     seq: AngleSequence,
-    initial: np.ndarray,
+    initial: State,
     steps: int,
     record_every: int = 1,
 ) -> Iterator[TrajectoryRecord]:
@@ -97,12 +98,6 @@ _SPIN = {
 }
 
 
-def _pair_metrics(
-    state_a: np.ndarray, state_b: np.ndarray, subsystem: Subsystem
-) -> tuple[float, float]:
-    return engine.pair_metrics(state_a, state_b, _SPIN[subsystem])
-
-
 def distance_trace(cfg: ExperimentConfig) -> DistanceTrace:
     """Distance between the unperturbed and delta-perturbed trajectories.
 
@@ -116,19 +111,24 @@ def distance_trace(cfg: ExperimentConfig) -> DistanceTrace:
     state_a = engine.init_state(0.0)
     state_b = engine.init_state(cfg.delta)
 
-    steps = [0]
-    d2_0, ov_0 = _pair_metrics(state_a, state_b, cfg.subsystem)
-    d2 = [d2_0]
-    ov = [ov_0]
+    spin = _SPIN[cfg.subsystem]
+    d2_0, ov_0 = engine.pair_metrics(state_a, state_b, spin)
+    steps, d2, ov = [0], [d2_0], [ov_0]
     iter_a = engine.iterate(seq_a, state_a, cfg.steps)
     iter_b = engine.iterate(seq_b, state_b, cfg.steps)
     for (n, sa), (_, sb) in zip(iter_a, iter_b):
         if n % cfg.record_every == 0 or n == cfg.steps:
-            d, o = _pair_metrics(sa, sb, cfg.subsystem)
+            d, o = engine.pair_metrics(sa, sb, spin)
             steps.append(n)
             d2.append(d)
             ov.append(o)
-    return DistanceTrace(np.array(steps), np.array(d2), np.array(ov))
+    return DistanceTrace(tuple(steps), tuple(d2), tuple(ov))
+
+
+def _slope(xs: list[float], ys: list[float]) -> float:
+    """Least-squares slope of ys against xs."""
+    mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
+    return sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sum((x - mx) ** 2 for x in xs)
 
 
 def lyapunov_estimate(trace: DistanceTrace, fit_window: tuple[int, int]) -> float:
@@ -155,19 +155,20 @@ def lyapunov_estimate(trace: DistanceTrace, fit_window: tuple[int, int]) -> floa
             logs.append(0.5 * math.log(val))
     if len(ms) < 5:
         raise ValueError(f"window holds {len(ms)} usable points, need >= 5")
-    slope = np.polyfit(ms, logs, 1)[0]
-    return float(slope)
+    return _slope(ms, logs)
 
 
 def fit_power_law(trace: DistanceTrace, window: tuple[int, int]) -> float:
     """Exponent k of D ~ n**k over the recorded steps in ``window``."""
     lo, hi = window
-    mask = (trace.steps >= lo) & (trace.steps <= hi) & (trace.d2 > 0.0)
-    mask &= trace.d2 < _SATURATION_GUARD
-    ns = trace.steps[mask]
-    if len(ns) < 5:
-        raise ValueError(f"window holds {len(ns)} usable points, need >= 5")
-    return float(np.polyfit(np.log(ns), 0.5 * np.log(trace.d2[mask]), 1)[0])
+    pts = [
+        (n, d2)
+        for n, d2 in zip(trace.steps, trace.d2)
+        if lo <= n <= hi and 0.0 < d2 < _SATURATION_GUARD
+    ]
+    if len(pts) < 5:
+        raise ValueError(f"window holds {len(pts)} usable points, need >= 5")
+    return _slope([math.log(n) for n, _ in pts], [0.5 * math.log(d2) for _, d2 in pts])
 
 
 @dataclass(frozen=True)

@@ -33,12 +33,12 @@ from .schedule import LOG_GOLDEN_RATIO, AngleSequence, ScheduleConfig, ScheduleM
 
 _EXACT_RE = re.compile(r"^\s*([+-]?\d+)\s*/\s*(\d+)\s*$")
 
+#: an argument that starts like a negative number (-3/7, -.5, -1e-9, -inf,
+#: -nan) is an option's value, never an option
+_NEGATIVE_RE = re.compile(r"^-(\.?\d|inf|nan)", re.IGNORECASE)
+
 #: CSV rows joined per write while an output streams to disk
 _CHUNK_ROWS = 4096
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
 
 
 def parse_alpha1(spec: str, mode: ScheduleMode, delta: float) -> ScheduleConfig:
@@ -135,10 +135,7 @@ def cmd_pattern(args: argparse.Namespace) -> int:
     seq = AngleSequence(schedule)
     initial = engine.init_state(args.head_angle, TapeState(args.tape))
     records = analysis.trajectory_bloch(seq, initial, args.steps, args.record_every)
-    rows = (
-        f"{n},{_fmt(h.s1)},{_fmt(h.s2)},{_fmt(h.s3)},{_fmt(h.length_sq())}"
-        for n, h in records
-    )
+    rows = (f"{n},{h.s1:.17g},{h.s2:.17g},{h.s3:.17g},{h.length_sq():.17g}" for n, h in records)
     config = {
         "schedule": _config_json(schedule),
         "steps": args.steps,
@@ -160,8 +157,7 @@ def cmd_distance(args: argparse.Namespace) -> int:
         record_every=args.record_every,
     )
     trace = analysis.distance_trace(cfg)
-    columns = trace.steps.tolist(), trace.d2.tolist(), trace.overlap.tolist()
-    rows = (f"{n},{_fmt(d2)},{_fmt(ov)}" for n, d2, ov in zip(*columns))
+    rows = (f"{n},{d2:.17g},{ov:.17g}" for n, d2, ov in zip(trace.steps, trace.d2, trace.overlap))
     config = {
         "schedule": _config_json(schedule),
         "delta": args.delta,
@@ -303,7 +299,17 @@ def _parse_deltas(text: str) -> list[float]:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Argument parser whose usage errors are one ``error:`` line and exit 2."""
+    """Argument parser whose usage errors are one ``error:`` line and exit 2.
+
+    A value that starts like a negative number is read as a value in both
+    ``--opt -3/7`` and ``--opt=-3/7`` forms, where stock argparse reads
+    ``-3/7`` or ``-1e-9`` as an unknown option.  Subparsers are built from
+    this class too.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_RE
 
     def error(self, message: str) -> NoReturn:
         print(f"error: {message}", file=sys.stderr)

@@ -15,8 +15,10 @@ trajectory formulas come out without sign fudging.
 Even-numbered gates apply the conditional NOT: the tape spin is flipped
 exactly when the head is in |-1>.  It is realized as an amplitude
 permutation (swap c[0] <-> c[1]), which makes it bit-exact and self-inverse.
-All operations are pure functions of the state; independent trajectories
-can run in parallel without shared mutable state.
+A state is a tuple of four Python complexes and a reduced density matrix
+a 2x2 tuple of tuples: at this size plain scalar arithmetic is faster than
+any array library.  All operations are pure functions of the state;
+independent trajectories can run in parallel without shared mutable state.
 """
 from __future__ import annotations
 
@@ -24,19 +26,21 @@ import math
 from enum import Enum
 from typing import Iterator, NamedTuple
 
-import numpy as np
-
 from .schedule import AngleSequence
 
-SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA3 = np.array([[-1.0, 0.0], [0.0, 1.0]], dtype=complex)
-SIGMA2 = 1j * SIGMA1 @ SIGMA3
+#: amplitudes (c0, c1, c2, c3) of a network state, indexed c[2h + t]
+State = tuple[complex, complex, complex, complex]
+#: 2x2 matrix as rows ((m00, m01), (m10, m11))
+Matrix2 = tuple[tuple[complex, complex], tuple[complex, complex]]
+
+SIGMA1: Matrix2 = ((0j, 1 + 0j), (1 + 0j, 0j))
+SIGMA2: Matrix2 = ((0j, 1j), (complex(0.0, -1.0), 0j))  # i sigma1 sigma3
+SIGMA3: Matrix2 = ((-1 + 0j, 0j), (0j, 1 + 0j))
 
 #: Pauli triple in component order (sigma1, sigma2, sigma3)
 PAULI = (SIGMA1, SIGMA2, SIGMA3)
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
-_QCNOT_PERM = np.array([1, 0, 2, 3])
 
 
 class TapeState(str, Enum):
@@ -70,34 +74,31 @@ _TAPE_AMPLITUDES = {
 }
 
 
-def init_state(head_angle: float, tape: TapeState | str = TapeState.MINUS_ONE) -> np.ndarray:
+def init_state(head_angle: float, tape: TapeState | str = TapeState.MINUS_ONE) -> State:
     """Product state exp(-i sigma1 head_angle / 2)|-1> (x) |tape>."""
     if not math.isfinite(head_angle):
         raise ValueError(f"head_angle must be finite, got {head_angle}")
     t0, t1 = _TAPE_AMPLITUDES[TapeState(tape)]
     h0 = math.cos(head_angle / 2.0)
     h1 = -1j * math.sin(head_angle / 2.0)
-    return np.array([h0 * t0, h0 * t1, h1 * t0, h1 * t1], dtype=complex)
+    return (complex(h0 * t0), complex(h0 * t1), h1 * t0, h1 * t1)
 
 
-def apply_head_rotation(state: np.ndarray, alpha: float) -> np.ndarray:
+def apply_head_rotation(state: State, alpha: float) -> State:
     """Rotate the head spin: multiply by exp(-i sigma1 alpha / 2) (x) 1."""
     c = math.cos(alpha / 2.0)
     s = -1j * math.sin(alpha / 2.0)
-    c0, c1, c2, c3 = state.tolist()
-    return np.array(
-        [c * c0 + s * c2, c * c1 + s * c3, s * c0 + c * c2, s * c1 + c * c3]
-    )
+    c0, c1, c2, c3 = state
+    return (c * c0 + s * c2, c * c1 + s * c3, s * c0 + c * c2, s * c1 + c * c3)
 
 
-def apply_qcnot(state: np.ndarray) -> np.ndarray:
+def apply_qcnot(state: State) -> State:
     """Conditional NOT: flip the tape when the head is |-1> (c0 <-> c1)."""
-    return state[_QCNOT_PERM]
+    c0, c1, c2, c3 = state
+    return (c1, c0, c2, c3)
 
 
-def iterate(
-    seq: AngleSequence, state: np.ndarray, n_steps: int
-) -> Iterator[tuple[int, np.ndarray]]:
+def iterate(seq: AngleSequence, state: State, n_steps: int) -> Iterator[tuple[int, State]]:
     """Yield (n, state) after each gate: odd gates rotate, even gates QCNOT.
 
     Gate 2m-1 rotates the head by seq.angle(m); gate 2m applies the
@@ -113,32 +114,35 @@ def iterate(
         yield n, state
 
 
-def run(seq: AngleSequence, state: np.ndarray, n_steps: int) -> np.ndarray:
+def run(seq: AngleSequence, state: State, n_steps: int) -> State:
     """State after n_steps alternating gates (n_steps = 0 returns the input)."""
     for _, state in iterate(seq, state, n_steps):
         pass
     return state
 
 
-def reduce_spin(state: np.ndarray, spin: Spin | str) -> np.ndarray:
-    """2x2 reduced density matrix of one spin (partial trace over the other)."""
-    m = state.reshape(2, 2)
-    if Spin(spin) is Spin.HEAD:
-        return m @ m.conj().T
-    return m.T @ m.conj()
+def reduce_spin(state: State, spin: Spin | str) -> Matrix2:
+    """2x2 reduced density matrix of one spin (partial trace over the other).
+
+    For the head rho_hh' = sum_t c[2h+t] conj(c[2h'+t]); the tape sums over
+    the head index instead, which is the same formula with c1 and c2 swapped.
+    """
+    c0, c1, c2, c3 = state
+    if Spin(spin) is Spin.TAPE:
+        c1, c2 = c2, c1
+    k0, k1, k2, k3 = c0.conjugate(), c1.conjugate(), c2.conjugate(), c3.conjugate()
+    return ((c0 * k0 + c1 * k1, c0 * k2 + c1 * k3), (c2 * k0 + c3 * k1, c2 * k2 + c3 * k3))
 
 
-def bloch_vector(rho: np.ndarray) -> BlochVector:
+def bloch_vector(rho: Matrix2) -> BlochVector:
     """Pauli expectation values (Tr rho sigma_j) of a 2x2 density matrix.
 
-    The trace is summed from Python scalars in matrix-product order,
-    (rho sigma)_00 + (rho sigma)_11: per-call numpy overhead dominates
-    2x2 products.
+    The trace is summed in matrix-product order, (rho sigma)_00 +
+    (rho sigma)_11.
     """
-    (r00, r01), (r10, r11) = rho.tolist()
+    (r00, r01), (r10, r11) = rho
     comps = []
-    for sigma in PAULI:
-        (s00, s01), (s10, s11) = sigma.tolist()
+    for (s00, s01), (s10, s11) in PAULI:
         val = (r00 * s00 + r01 * s10) + (r10 * s01 + r11 * s11)
         if abs(val.imag) > 1e-9:
             raise ValueError(f"density matrix is corrupted: Im Tr(rho sigma) = {val.imag}")
@@ -146,35 +150,38 @@ def bloch_vector(rho: np.ndarray) -> BlochVector:
     return BlochVector(*comps)
 
 
-def distance_sq(rho_a: np.ndarray, rho_b: np.ndarray) -> float:
+def distance_sq(rho_a: Matrix2, rho_b: Matrix2) -> float:
     """Squared distance Tr[(rho_a - rho_b)^2], in [0, 2] for unit-trace states.
 
     For Hermitian arguments the trace equals the squared Frobenius norm of
     the difference, which is how it is computed here: nonnegative by
-    construction instead of up to cancellation noise.
+    construction instead of up to cancellation noise.  Matrices of any one
+    shape are accepted; a shape mismatch raises ValueError.
     """
-    if rho_a.shape != rho_b.shape:
-        raise ValueError(f"dimension mismatch: {rho_a.shape} vs {rho_b.shape}")
-    d = rho_a - rho_b
-    return float(np.sum((d * d.conj()).real))
+    total = 0.0
+    for row_a, row_b in zip(rho_a, rho_b, strict=True):
+        for x, y in zip(row_a, row_b, strict=True):
+            d = x - y
+            total += d.real * d.real + d.imag * d.imag
+    return total
 
 
 def pair_metrics(
-    state_a: np.ndarray, state_b: np.ndarray, spin: Spin | str | None = None
+    state_a: State, state_b: State, spin: Spin | str | None = None
 ) -> tuple[float, float]:
     """Squared distance and squared overlap of two network states.
 
     Returns (d2, |<b|a>|^2).  With ``spin`` None d2 is the network distance
     2 (1 - |<b|a>|^2); otherwise it is Tr[(rho_a - rho_b)^2] for the reduced
     state of that spin, i.e. the value of ``distance_sq`` on the two
-    ``reduce_spin`` matrices.  Everything is summed from the eight
-    amplitudes as Python scalars: numpy's per-call overhead dominates
-    4-vector arithmetic.  For the head rho_hh' = sum_t c[2h+t] conj(c[2h'+t])
-    and d2 = (drho_00)^2 + (drho_11)^2 + 2 |drho_01|^2; the tape uses the
-    same formula with c[1] and c[2] swapped.
+    ``reduce_spin`` matrices, summed straight from the eight amplitudes
+    without forming the matrices.  For the head
+    rho_hh' = sum_t c[2h+t] conj(c[2h'+t]) and
+    d2 = (drho_00)^2 + (drho_11)^2 + 2 |drho_01|^2; the tape uses the same
+    formula with c[1] and c[2] swapped.
     """
-    a0, a1, a2, a3 = state_a.tolist()
-    b0, b1, b2, b3 = state_b.tolist()
+    a0, a1, a2, a3 = state_a
+    b0, b1, b2, b3 = state_b
     z = b0.conjugate() * a0 + b1.conjugate() * a1 + b2.conjugate() * a2 + b3.conjugate() * a3
     ov = z.real * z.real + z.imag * z.imag
     if spin is None:
@@ -190,11 +197,11 @@ def pair_metrics(
     return d00 * d00 + d11 * d11 + 2.0 * (d01.real * d01.real + d01.imag * d01.imag), ov
 
 
-def overlap_sq(psi_a: np.ndarray, psi_b: np.ndarray) -> float:
+def overlap_sq(psi_a: State, psi_b: State) -> float:
     """Squared overlap |<psi_b|psi_a>|^2 of two normalized state vectors."""
-    return float(abs(np.vdot(psi_b, psi_a)) ** 2)
+    return abs(sum(b.conjugate() * a for a, b in zip(psi_a, psi_b))) ** 2
 
 
-def norm_sq(state: np.ndarray) -> float:
+def norm_sq(state: State) -> float:
     """Squared norm of a state vector."""
-    return float(np.vdot(state, state).real)
+    return sum(c.real * c.real + c.imag * c.imag for c in state)

@@ -127,10 +127,11 @@ def head_bloch_superposed(
     """
     wp = abs(weights.a_plus) ** 2
     wm = abs(weights.a_minus) ** 2
-    p = head_bloch_primitive(seq, PrimitiveBranch.PLUS, n, head_angle)
-    q = head_bloch_primitive(seq, PrimitiveBranch.MINUS, n, head_angle)
+    c_plus, c_minus = _head_angles(seq, n, head_angle)
     return BlochVector(
-        wp * p.s1 + wm * q.s1, wp * p.s2 + wm * q.s2, wp * p.s3 + wm * q.s3
+        0.0,
+        wp * math.sin(c_plus) + wm * math.sin(c_minus),
+        wp * -math.cos(c_plus) + wm * -math.cos(c_minus),
     )
 
 

@@ -140,8 +140,6 @@ class AngleSequence:
     _ang: list[float] = field(init=False)        # emitted angles, index m >= 1
     _cum: list[float] = field(init=False)        # a_0 + sum_{j<=m} a_j
     _alt: list[float] = field(init=False)        # sum_{j<=m} (-1)^j a_j
-    _sum_a: list[float] = field(init=False)      # a_m + a_{m-2} + ... (A_m)
-    _sum_b: list[float] = field(init=False)      # a_{m-1} + a_{m-3} + ... (B_m)
     _dfib: list[float] = field(init=False)       # delta * F_m mod 2*pi
     _fib: tuple[int, int] = field(init=False)    # (F_{k-1}, F_k) mod 2q at the last cached k
 
@@ -154,8 +152,6 @@ class AngleSequence:
         self._ang = [a0, a1]
         self._cum = [a0, wrap_angle(a0 + a1)]
         self._alt = [0.0, wrap_angle(-a1)]
-        self._sum_a = [0.0, a1]
-        self._sum_b = [0.0, 0.0]
         self._dfib = [0.0, wrap_angle(self.config.delta)]
         self._fib = (0, 1)
 
@@ -172,7 +168,7 @@ class AngleSequence:
         if k > m:
             return
         cfg = self.config
-        cum, alt, sum_a, sum_b, dfib = self._cum, self._alt, self._sum_a, self._sum_b, self._dfib
+        cum, alt, dfib = self._cum, self._alt, self._dfib
         exact = cfg.exact is not None and cfg.mode is ScheduleMode.FIBONACCI
         if exact:
             p, q = cfg.exact  # type: ignore[misc]
@@ -193,8 +189,6 @@ class AngleSequence:
             ang.append(nxt)
             cum.append(wrap_angle(cum[k - 1] + nxt))
             alt.append(wrap_angle(alt[k - 1] - nxt if k % 2 else alt[k - 1] + nxt))
-            sum_a.append(wrap_angle(sum_a[k - 2] + nxt))
-            sum_b.append(wrap_angle(sum_b[k - 2] + prev1))
             dfib.append(wrap_angle(dfib[k - 1] + dfib[k - 2]))
             prev2, prev1 = prev1, nxt
             k += 1
@@ -267,18 +261,6 @@ class AngleSequence:
         if n % 2 == 0:
             return even
         return wrap_angle(-even)
-
-    def ab_angles(self, m: int) -> tuple[float, float]:
-        """Alternating-index partial sums (A_m, B_m) mod 2*pi.
-
-        A_m = a_m + a_{m-2} + ... and B_m = a_{m-1} + a_{m-3} + ..., each
-        terminating at index 1 or 2 according to parity; computed by direct
-        summation.
-        """
-        if m < 1:
-            raise ValueError(f"cycle index must be >= 1, got {m}")
-        self._grow(m)
-        return self._sum_a[m], self._sum_b[m]
 
     def delta_fib(self, m: int) -> float:
         """Accumulated seed perturbation delta * F_m mod 2*pi, m >= 0."""

@@ -240,7 +240,8 @@ def test_criterion_6a_fixed_schedule_constant():
         subsystem=Subsystem.NETWORK,
     )
     trace = distance_trace(cfg)
-    window = trace.d2[(trace.steps >= 4) & (trace.steps <= 60)]
+    steps, d2 = np.asarray(trace.steps), np.asarray(trace.d2)
+    window = d2[(steps >= 4) & (steps <= 60)]
     spread = float(np.abs(window - trace.d2_at(4)).max())
     elapsed = time.perf_counter() - start
     ok = spread < 1e-10 and elapsed < 2.0
@@ -297,7 +298,7 @@ def test_criterion_6c_fibonacci_schedule_exponential_saturating():
     )
     target = LOG_GOLDEN_RATIO / 2
     rel = abs(slope - target) / target
-    peak = float(trace.d2.max())
+    peak = float(np.asarray(trace.d2).max())
     elapsed = time.perf_counter() - start
     ok = rel < 0.10 and peak <= 2.0 + 1e-10 and elapsed < 2.0
     _report("6c fibonacci-exponential", ok,
@@ -358,7 +359,8 @@ def test_criterion_7_property_suites():
             )
             if not 0.0 <= d2 <= 2.0 + 1e-10:
                 metrics_ok = False
-        pa, pb = np.outer(xa, xa.conj()), np.outer(xb, xb.conj())
+        va, vb = np.array(xa), np.array(xb)
+        pa, pb = np.outer(va, va.conj()), np.outer(vb, vb.conj())
         ident = abs(
             engine.distance_sq(pa, pb) - 2.0 * (1.0 - engine.overlap_sq(xa, xb))
         )
@@ -369,7 +371,8 @@ def test_criterion_7_property_suites():
     brute_ok = True
     i2 = np.eye(2, dtype=complex)
     p_minus, p_plus = np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)
-    u_cnot = np.kron(p_minus, engine.SIGMA1) + np.kron(p_plus, i2)
+    sigma1 = np.array(engine.SIGMA1)
+    u_cnot = np.kron(p_minus, sigma1) + np.kron(p_plus, i2)
     for alpha1, delta in ((0.3, 0.0), (2 * math.pi / 5, 0.001)):
         seq = AngleSequence(_schedule(alpha1, delta))
         init = engine.init_state(delta)
@@ -377,12 +380,12 @@ def test_criterion_7_property_suites():
         for n in range(1, 13):
             if n % 2 == 1:
                 a = seq.angle((n + 1) // 2)
-                rot = math.cos(a / 2) * i2 - 1j * math.sin(a / 2) * engine.SIGMA1
+                rot = math.cos(a / 2) * i2 - 1j * math.sin(a / 2) * sigma1
                 unitary = np.kron(rot, i2) @ unitary
             else:
                 unitary = u_cnot @ unitary
             direct = engine.run(AngleSequence(_schedule(alpha1, delta)), init, n)
-            if np.abs(direct - unitary @ init).max() > 1e-12:
+            if np.abs(np.array(direct) - unitary @ np.array(init)).max() > 1e-12:
                 brute_ok = False
 
     ok = all(

@@ -2,6 +2,11 @@ import csv
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -190,7 +195,8 @@ def test_oracle_check_detects_corrupted_pauli(capsys, monkeypatch):
     # negative control: flip the sign of the second Pauli matrix and the
     # very first rotation step must disagree with the closed forms
     s1, s2, s3 = engine.PAULI
-    monkeypatch.setattr(engine, "PAULI", (s1, -s2, s3))
+    negated_s2 = tuple(tuple(-x for x in row) for row in s2)
+    monkeypatch.setattr(engine, "PAULI", (s1, negated_s2, s3))
     assert run_cli("oracle-check", "--alpha1", "0.3", "--delta", "0",
                    "--steps", "10") == 1
     report = json.loads(capsys.readouterr().out)
@@ -237,7 +243,7 @@ def assert_usage_error(capsys, *argv):
     assert captured.err.count("\n") == 1
 
 
-@pytest.mark.parametrize("tolerance", ["nan", "inf", "-0.5"])
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "-0.5", "-1e-9"])
 def test_oracle_check_rejects_bad_tolerance(capsys, tolerance):
     assert_usage_error(capsys, "oracle-check", "--alpha1", "0.3", "--steps", "10",
                        "--tolerance", tolerance)
@@ -253,7 +259,7 @@ def test_record_every_zero_rejected(tmp_path, capsys, command):
 
 @pytest.mark.parametrize("argv", [
     ["pattern", "--alpha1", "0.3", "--tape", "plus_one", "--out", "x.csv"],
-    ["oracle-check", "--alpha1", "0.3", "--tolerance", "-1e-9"],
+    ["oracle-check", "--alpha1", "0.3", "--tolerance"],
     ["pattern", "--alpha1", "0.3", "--steps", "0", "--out", "x.csv"],
 ])
 def test_argparse_errors_are_one_line(capsys, argv):
@@ -264,6 +270,72 @@ def test_argparse_errors_are_one_line(capsys, argv):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
+
+
+def _outcome(capsys, argv):
+    """Exit code, stdout and stderr of one CLI run, SystemExit included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("code,argv", [
+    (0, ["distance", "--alpha1", "-3/7", "--steps", "30", "--out", "{out}"]),
+    (0, ["pattern", "--alpha1", "0.3", "--head-angle", "-.7", "--steps", "30", "--out", "{out}"]),
+    (0, ["oracle-check", "--alpha1", "-1.2e0", "--delta", "-1e-3", "--steps", "30"]),
+    (0, ["lyapunov", "--alpha1", "-2/5", "--steps", "60"]),
+    (2, ["oracle-check", "--alpha1", "0.3", "--tolerance", "-1e-9"]),
+    (2, ["oracle-check", "--alpha1", "0.3", "--tolerance", "-inf"]),
+    (2, ["stability", "--alpha1", "2/5", "--m", "20", "--deltas", "-1e-4"]),
+    (2, ["pattern", "--alpha1", "0.3", "--steps", "-5", "--out", "{out}"]),
+])
+def test_negative_value_as_separate_argument(tmp_path, capsys, code, argv):
+    # "--opt -value" behaves exactly like "--opt=-value"
+    def run(form):
+        out_dir = tmp_path / form
+        out_dir.mkdir()
+        args = [a.replace("{out}", str(out_dir / "out.csv")) for a in argv]
+        if form == "joined":
+            i = next(i for i, a in enumerate(args) if a[0] == "-" and a[1] != "-")
+            args[i - 1 : i + 1] = [f"{args[i - 1]}={args[i]}"]
+        outcome = _outcome(capsys, args)
+        return outcome, {f.name: f.read_bytes() for f in out_dir.iterdir()}
+
+    separate, joined = run("separate"), run("joined")
+    assert separate == joined
+    (rc, _, err), _ = separate
+    assert rc == code
+    assert "expected one argument" not in err
+
+
+def test_runtime_needs_no_numpy(tmp_path):
+    # every subcommand runs in a fresh interpreter where importing numpy fails
+    script = textwrap.dedent("""
+        import sys
+        sys.modules["numpy"] = None
+        from qturing.cli import main
+        out = sys.argv[1]
+        argvs = [
+            ["pattern", "--alpha1", "2/5", "--steps", "50", "--out", out + "/p.csv"],
+            ["distance", "--alpha1", "2/5", "--steps", "50", "--out", out + "/d.csv"],
+            ["stability", "--alpha1", "2/5", "--m", "20", "--deltas", "1e-4"],
+            ["oracle-check", "--alpha1", "2/5", "--delta", "1e-3", "--steps", "200"],
+            ["lyapunov", "--alpha1", "2/5", "--steps", "60"],
+        ]
+        codes = [main(argv) for argv in argvs]
+        sys.exit(f"exit codes {codes}" if any(codes) else 0)
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(f.name for f in tmp_path.iterdir()) == [
+        "d.csv", "d.csv.manifest.json", "p.csv", "p.csv.manifest.json"]
 
 
 class _Abort(Exception):

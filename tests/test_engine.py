@@ -29,6 +29,7 @@ from qturing.engine import (
 from qturing.schedule import AngleSequence, ScheduleConfig, ScheduleMode
 
 I2 = np.eye(2, dtype=complex)
+S1, S2, S3 = (np.array(sigma) for sigma in (SIGMA1, SIGMA2, SIGMA3))
 
 
 def fib_seq(alpha1, delta=0.0):
@@ -41,7 +42,7 @@ def random_states(draw_reals):
         [complex(draw_reals[2 * i], draw_reals[2 * i + 1]) for i in range(4)]
     )
     norm = np.linalg.norm(vec)
-    return vec / norm
+    return tuple(complex(c) for c in vec / norm)
 
 
 state_strategy = st.builds(
@@ -57,21 +58,21 @@ angle_strategy = st.floats(min_value=-10.0, max_value=10.0)
 # --- Pauli conventions -------------------------------------------------------
 
 def test_pauli_algebra():
-    np.testing.assert_allclose(SIGMA1 @ SIGMA2, 1j * SIGMA3, atol=1e-15)
-    np.testing.assert_allclose(SIGMA2 @ SIGMA3, 1j * SIGMA1, atol=1e-15)
-    np.testing.assert_allclose(SIGMA3 @ SIGMA1, 1j * SIGMA2, atol=1e-15)
+    np.testing.assert_allclose(S1 @ S2, 1j * S3, atol=1e-15)
+    np.testing.assert_allclose(S2 @ S3, 1j * S1, atol=1e-15)
+    np.testing.assert_allclose(S3 @ S1, 1j * S2, atol=1e-15)
 
 
 def test_pauli_hermitian_involutions():
-    for sigma in PAULI:
+    for sigma in map(np.array, PAULI):
         np.testing.assert_allclose(sigma, sigma.conj().T, atol=1e-15)
         np.testing.assert_allclose(sigma @ sigma, I2, atol=1e-15)
 
 
 def test_sigma3_eigenbasis_order():
     # sigma3 |p> = p |p> with index 0 <-> |-1>
-    np.testing.assert_allclose(SIGMA3 @ np.array([1.0, 0.0]), [-1.0, 0.0])
-    np.testing.assert_allclose(SIGMA3 @ np.array([0.0, 1.0]), [0.0, 1.0])
+    np.testing.assert_allclose(S3 @ np.array([1.0, 0.0]), [-1.0, 0.0])
+    np.testing.assert_allclose(S3 @ np.array([0.0, 1.0]), [0.0, 1.0])
 
 
 # --- initial states ----------------------------------------------------------
@@ -209,7 +210,7 @@ def test_reduce_bell_like_state_is_maximally_mixed():
 @given(state=state_strategy)
 def test_reduce_traces_are_one(state):
     for spin in Spin:
-        rho = reduce_spin(state, spin)
+        rho = np.array(reduce_spin(state, spin))
         assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_allclose(rho, rho.conj().T, atol=1e-12)
         evals = np.linalg.eigvalsh(rho)
@@ -293,7 +294,8 @@ def test_overlap_small_rotation():
 @given(sa=state_strategy, sb=state_strategy)
 def test_network_distance_equals_two_one_minus_overlap(sa, sb):
     # for pure states, Tr[(P_a - P_b)^2] = 2 (1 - |<a|b>|^2)
-    pa, pb = np.outer(sa, sa.conj()), np.outer(sb, sb.conj())
+    va, vb = np.array(sa), np.array(sb)
+    pa, pb = np.outer(va, va.conj()), np.outer(vb, vb.conj())
     assert distance_sq(pa, pb) == pytest.approx(
         2.0 * (1.0 - overlap_sq(sa, sb)), abs=1e-10
     )
@@ -330,13 +332,13 @@ def test_in_plane_confinement_from_ground_product_state():
 # --- brute-force matrix oracle --------------------------------------------------------
 
 def _rotation_matrix(alpha):
-    return math.cos(alpha / 2) * I2 - 1j * math.sin(alpha / 2) * SIGMA1
+    return math.cos(alpha / 2) * I2 - 1j * math.sin(alpha / 2) * S1
 
 
 def _qcnot_matrix():
     p_minus = np.diag([1.0, 0.0]).astype(complex)
     p_plus = np.diag([0.0, 1.0]).astype(complex)
-    return np.kron(p_minus, SIGMA1) + np.kron(p_plus, I2)
+    return np.kron(p_minus, S1) + np.kron(p_plus, I2)
 
 
 @pytest.mark.parametrize("alpha1,delta", [(0.3, 0.0), (2 * math.pi / 5, 0.0), (1.1, 0.01)])
@@ -352,7 +354,7 @@ def test_gate_sequence_matches_matrix_products(alpha1, delta):
         unitary = gate @ unitary
         np.testing.assert_allclose(
             run(fib_seq(alpha1, delta=delta), initial, n),
-            unitary @ initial,
+            unitary @ np.array(initial),
             atol=1e-12,
         )
 
@@ -384,8 +386,8 @@ def test_pair_metrics_match_density_matrix_route(sa, sb):
 @given(state=state_strategy)
 def test_pair_metrics_vanish_for_identical_states(state):
     for spin in (Spin.HEAD, Spin.TAPE, "head", "tape"):
-        assert pair_metrics(state, state.copy(), spin)[0] == 0.0
-    d2, ov = pair_metrics(state, state.copy())
+        assert pair_metrics(state, state, spin)[0] == 0.0
+    d2, ov = pair_metrics(state, state)
     # the network distance is 2 (1 - |<a|a>|^2): zero up to the rounding of the norm
     assert abs(ov - 1.0) <= 1e-15
     assert d2 == 2.0 * (1.0 - ov)
@@ -405,9 +407,10 @@ def test_pair_metrics_rejects_unknown_spin():
         pair_metrics(init_state(0.0), init_state(0.1), "network")
 
 
-def test_gates_return_complex_ndarrays():
+def test_gates_return_complex_4_tuples():
     state = init_state(0.4, TapeState.PLUS)
-    for out in (apply_head_rotation(state, 1.3), apply_head_rotation(state, 0.0), apply_qcnot(state)):
-        assert isinstance(out, np.ndarray)
-        assert out.dtype == np.complex128
-        assert out.shape == (4,)
+    gated = (apply_head_rotation(state, 1.3), apply_head_rotation(state, 0.0), apply_qcnot(state))
+    for out in (state, *gated):
+        assert isinstance(out, tuple)
+        assert len(out) == 4
+        assert all(type(c) is complex for c in out)

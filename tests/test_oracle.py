@@ -108,7 +108,9 @@ def test_superposed_matches_alternating_sum_product_form():
     for alpha1 in (0.3, 1.9, 2 * math.pi / 5):
         seq = fib_seq(alpha1)
         for m in range(1, 51):
-            a, b = seq.ab_angles(m)
+            # A_m = a_m + a_{m-2} + ..., B_m = a_{m-1} + a_{m-3} + ...
+            a = sum(seq.angle(j) for j in range(m, 0, -2))
+            b = sum(seq.angle(j) for j in range(m - 1, 0, -2))
             even = head_bloch_superposed(seq, EQUAL_WEIGHTS, 2 * m)
             np.testing.assert_allclose(
                 even,
