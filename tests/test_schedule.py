@@ -242,6 +242,49 @@ def test_cumulative_minus_exact_matches_float():
         assert circ_dist(exact.cumulative_minus(n), plain.cumulative_minus(n)) < 1e-11
 
 
+# --- alternating-index sums -------------------------------------------------
+
+def ab_angles(seq, m):
+    """(A_m, B_m) mod 2*pi: A_m = a_m + a_{m-2} + ..., B_m = a_{m-1} + a_{m-3} + ..."""
+    a = sum(seq.angle(j) for j in range(m, 0, -2))
+    b = sum(seq.angle(j) for j in range(m - 1, 0, -2))
+    return wrap_angle(a), wrap_angle(b)
+
+
+def test_ab_angles_first_cycle():
+    a, b = ab_angles(make_seq(0.3), 1)
+    assert a == pytest.approx(0.3, abs=1e-15)
+    assert b == 0.0
+
+
+def test_ab_angles_third_cycle():
+    # A_3 = a_3 + a_1 = 0.9, B_3 = a_2 = 0.3
+    a, b = ab_angles(make_seq(0.3), 3)
+    assert a == pytest.approx(0.9, abs=1e-14)
+    assert b == pytest.approx(0.3, abs=1e-15)
+
+
+def test_ab_angles_even_branch_closed_form():
+    # A_2 = a_2 = a_1 agrees with (a1/sqrt5)(beta^3 - gamma^3 - sqrt5) = a_1
+    a, _ = ab_angles(make_seq(0.3), 2)
+    assert a == pytest.approx(0.3, abs=1e-14)
+
+
+@pytest.mark.parametrize("alpha1", [0.3, 1.9, 2 * math.pi / 5])
+def test_ab_angles_match_parity_closed_forms(alpha1):
+    seq = make_seq(alpha1)
+    for m in range(1, 61):
+        a, b = ab_angles(seq, m)
+        if m % 2 == 1:
+            a_closed = seq.angle(m + 1)
+            b_closed = (seq.angle(m) - seq.angle(1)) % TWO_PI
+        else:
+            a_closed = (seq.angle(m + 1) - seq.angle(1)) % TWO_PI
+            b_closed = seq.angle(m)
+        assert circ_dist(a, a_closed) < 1e-9
+        assert circ_dist(b, b_closed) < 1e-9
+
+
 # --- seed-perturbation accumulator -------------------------------------------
 
 def test_delta_fib_zero_index():
