@@ -98,8 +98,10 @@ _SPIN = {
 }
 
 
-def distance_trace(cfg: ExperimentConfig) -> DistanceTrace:
-    """Distance between the unperturbed and delta-perturbed trajectories.
+def distance_rows(cfg: ExperimentConfig) -> Iterator[tuple[int, float, float]]:
+    """(step, squared distance, squared network overlap) of the unperturbed
+    and delta-perturbed trajectories, yielded as they advance: at step 0,
+    every ``record_every`` steps and at the last step.
 
     Trajectory A starts from |-1, -1> under the unperturbed schedule;
     trajectory B starts with the head rotated by delta and (by default) the
@@ -112,17 +114,18 @@ def distance_trace(cfg: ExperimentConfig) -> DistanceTrace:
     state_b = engine.init_state(cfg.delta)
 
     spin = _SPIN[cfg.subsystem]
-    d2_0, ov_0 = engine.pair_metrics(state_a, state_b, spin)
-    steps, d2, ov = [0], [d2_0], [ov_0]
+    yield (0, *engine.pair_metrics(state_a, state_b, spin))
     iter_a = engine.iterate(seq_a, state_a, cfg.steps)
     iter_b = engine.iterate(seq_b, state_b, cfg.steps)
     for (n, sa), (_, sb) in zip(iter_a, iter_b):
         if n % cfg.record_every == 0 or n == cfg.steps:
-            d, o = engine.pair_metrics(sa, sb, spin)
-            steps.append(n)
-            d2.append(d)
-            ov.append(o)
-    return DistanceTrace(tuple(steps), tuple(d2), tuple(ov))
+            yield (n, *engine.pair_metrics(sa, sb, spin))
+
+
+def distance_trace(cfg: ExperimentConfig) -> DistanceTrace:
+    """The rows of ``distance_rows`` collected into one trace."""
+    steps, d2, overlap = zip(*distance_rows(cfg))
+    return DistanceTrace(steps, d2, overlap)
 
 
 def _slope(xs: list[float], ys: list[float]) -> float:
@@ -135,11 +138,16 @@ def lyapunov_estimate(trace: DistanceTrace, fit_window: tuple[int, int]) -> floa
     """Divergence rate per two-step cycle from a pre-saturation window.
 
     Least-squares slope of ln D(2m) against the cycle index m over
-    m in [fit_window[0], fit_window[1]].  The window must hold at least
-    five recorded cycles and stay below the saturation guard d2 < 0.5; a
-    Fibonacci schedule targets ln((1 + sqrt(5))/2) ~ 0.4812.
+    m in [fit_window[0], fit_window[1]], where 0 <= fit_window[0] <=
+    fit_window[1].  The window must hold at least five recorded cycles and
+    stay below the saturation guard d2 < 0.5; a Fibonacci schedule targets
+    ln((1 + sqrt(5))/2) ~ 0.4812.
     """
     m_lo, m_hi = fit_window
+    if m_lo < 0:
+        raise ValueError(f"fit window starts at cycle {m_lo}, must start at >= 0")
+    if m_lo > m_hi:
+        raise ValueError(f"fit window is inverted: first cycle {m_lo} > last cycle {m_hi}")
     ms, logs = [], []
     for m in range(m_lo, m_hi + 1):
         try:

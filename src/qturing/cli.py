@@ -156,8 +156,7 @@ def cmd_distance(args: argparse.Namespace) -> int:
         subsystem=Subsystem(args.subsystem),
         record_every=args.record_every,
     )
-    trace = analysis.distance_trace(cfg)
-    rows = (f"{n},{d2:.17g},{ov:.17g}" for n, d2, ov in zip(trace.steps, trace.d2, trace.overlap))
+    rows = (f"{n},{d2:.17g},{ov:.17g}" for n, d2, ov in analysis.distance_rows(cfg))
     config = {
         "schedule": _config_json(schedule),
         "delta": args.delta,

@@ -13,13 +13,15 @@ m ~ 75, while every consumer is trigonometric, and reduction commutes with
 the additive recurrences.
 
 When alpha1 is declared as an exact rational multiple of pi via
-``exact=(p, q)``, Fibonacci-mode angles are computed from integer Fibonacci
-residues mod 2q, so arbitrarily long periodic runs carry no float drift.
+``exact=(p, q)``, every Fibonacci-mode angle and cumulative rotation is a
+closed form in integer Fibonacci residues mod 2q, so arbitrarily long
+periodic runs carry no float drift.  The seed term delta * F_k mod 2*pi of
+a nonzero delta is a float recurrence on every schedule.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 
 TWO_PI = 2.0 * math.pi
@@ -124,63 +126,76 @@ class ScheduleConfig:
         return cls(mode=mode, alpha1=(p / q) * math.pi, delta=delta, exact=(p, q))
 
 
+#: longest forward move of a carried residue pair by additions; a longer or
+#: backward move re-seeds it from fib_mod
+_MAX_ADVANCE = 64
+
+
+def _residues(pair: list[int], m: int, mod: int) -> tuple[int, int]:
+    """Move a carried pair [k, F_{k-1}, F_k] mod ``mod`` to index m >= 0 and
+    return (F_{m-1}, F_m), with F_{-1} = 1."""
+    k, prev, cur = pair
+    if 0 <= m - k <= _MAX_ADVANCE:
+        for _ in range(m - k):
+            prev, cur = cur, (prev + cur) % mod
+    else:
+        prev, cur = fib_mod(m - 1, mod) if m else 1, fib_mod(m, mod)
+    pair[:] = m, prev, cur
+    return prev, cur
+
+
 @dataclass
 class AngleSequence:
-    """Iterator state of one schedule plus cached cumulative quantities.
+    """Iterator state of one schedule on one of two backends, chosen once.
 
-    The recurrence advances a rolling pair (a_{m-1}, a_m) mod 2*pi, or in
-    exact mode the integer pair (F_{m-1}, F_m) mod 2q; emitted values and
-    the running sums consumed by the closed-form predictions are cached so
-    random access is O(1) after a single forward pass.  The exact path
-    without delta skips the caches and reads each value from ``fib_mod``.
-    Instances are single-owner: advance one sequence per thread.
+    An exact Fibonacci schedule answers every query in closed form from the
+    integer residues (F_{m-1}, F_m) mod 2q of two carried pairs, one for
+    angles and one for cumulatives, which ascending queries advance by
+    additions.  Any other schedule caches its float angles and running sums,
+    so random access is O(1) after one forward pass.  A nonzero delta adds
+    the seed term delta * F_k mod 2*pi, a float recurrence cached as far as
+    it is read.  Instances are single-owner: advance one sequence per thread.
     """
 
     config: ScheduleConfig
-    _ang: list[float] = field(init=False)        # emitted angles, index m >= 1
-    _cum: list[float] = field(init=False)        # a_0 + sum_{j<=m} a_j
-    _alt: list[float] = field(init=False)        # sum_{j<=m} (-1)^j a_j
-    _dfib: list[float] = field(init=False)       # delta * F_m mod 2*pi
-    _fib: tuple[int, int] = field(init=False)    # (F_{k-1}, F_k) mod 2q at the last cached k
 
     def __post_init__(self) -> None:
-        a0 = wrap_angle(self.config.delta)
-        if self.config.exact is not None and self.config.mode is ScheduleMode.FIBONACCI:
-            a1 = self._exact_base(1)  # grid value, not the rounded (p/q)*pi
-        else:
-            a1 = wrap_angle(self.config.alpha1)
-        self._ang = [a0, a1]
-        self._cum = [a0, wrap_angle(a0 + a1)]
-        self._alt = [0.0, wrap_angle(-a1)]
-        self._dfib = [0.0, wrap_angle(self.config.delta)]
-        self._fib = (0, 1)
+        cfg = self.config
+        a0 = wrap_angle(cfg.delta)
+        # delta * F_k mod 2*pi at index k + 2, from F_{-2} = -1 and F_{-1} = 1;
+        # at delta = 0 every seed term is 0.0 and the list never grows
+        self._dfib = [wrap_angle(-cfg.delta), a0, 0.0, a0]
+        self._seed = self._seed_term if cfg.delta else lambda k: 0.0
+        # (p, q) on the exact backend, None on the float one
+        self._exact = cfg.exact if cfg.mode is ScheduleMode.FIBONACCI else None
+        if self._exact is not None:
+            self._angle_pair, self._cum_pair = [0, 1, 0], [0, 1, 0]
+            return
+        a1 = wrap_angle(cfg.alpha1)
+        self._ang = [a0, a1]                        # emitted angles, index m >= 0
+        self._cum = [a0, wrap_angle(a0 + a1)]       # a_0 + sum_{j<=m} a_j
+        self._alt = [0.0, wrap_angle(-a1)]          # sum_{j<=m} (-1)^j a_j
 
     # -- recurrence -------------------------------------------------------
 
-    def _exact_base(self, m: int) -> float:
-        """Unperturbed exact-mode angle pi * ((p * F_m) mod 2q) / q."""
-        p, q = self.config.exact  # type: ignore[misc]
-        return math.pi * ((p * fib_mod(m, 2 * q)) % (2 * q)) / q
+    def _seed_term(self, k: int) -> float:
+        """delta * F_k mod 2*pi, k >= -2, grown by the float recurrence."""
+        dfib = self._dfib
+        while len(dfib) <= k + 2:
+            dfib.append(wrap_angle(dfib[-1] + dfib[-2]))
+        return dfib[k + 2]
 
     def _grow(self, m: int) -> None:
+        """Extend the float backend's caches through index m."""
         ang = self._ang
         k = len(ang)
         if k > m:
             return
         cfg = self.config
-        cum, alt, dfib = self._cum, self._alt, self._dfib
-        exact = cfg.exact is not None and cfg.mode is ScheduleMode.FIBONACCI
-        if exact:
-            p, q = cfg.exact  # type: ignore[misc]
-            mod = 2 * q
-            f_prev, f = self._fib
+        cum, alt = self._cum, self._alt
         prev2, prev1 = ang[k - 2], ang[k - 1]
         while k <= m:
-            if exact:
-                f_prev, f = f, (f_prev + f) % mod
-                # _exact_base(k) plus the seed term; dfib is all zeros for delta = 0
-                nxt = wrap_angle(math.pi * ((p * f) % mod) / q + dfib[k - 1])
-            elif cfg.mode is ScheduleMode.FIBONACCI:
+            if cfg.mode is ScheduleMode.FIBONACCI:
                 nxt = wrap_angle(prev2 + prev1)
             elif cfg.mode is ScheduleMode.ARITHMETIC:
                 nxt = wrap_angle(2.0 * prev1 - prev2)
@@ -189,11 +204,8 @@ class AngleSequence:
             ang.append(nxt)
             cum.append(wrap_angle(cum[k - 1] + nxt))
             alt.append(wrap_angle(alt[k - 1] - nxt if k % 2 else alt[k - 1] + nxt))
-            dfib.append(wrap_angle(dfib[k - 1] + dfib[k - 2]))
             prev2, prev1 = prev1, nxt
             k += 1
-        if exact:
-            self._fib = (f_prev, f)
 
     # -- operations -------------------------------------------------------
 
@@ -201,16 +213,12 @@ class AngleSequence:
         """Rotation angle a_m in [0, 2*pi), m >= 1."""
         if m < 1:
             raise ValueError(f"angle index must be >= 1, got {m}")
-        cfg = self.config
-        if (
-            cfg.exact is not None
-            and cfg.mode is ScheduleMode.FIBONACCI
-            and cfg.delta == 0.0
-        ):
-            # O(log m) random access; supports very large m without caching
-            return self._exact_base(m)
-        self._grow(m)
-        return self._ang[m]
+        if self._exact is None:
+            self._grow(m)
+            return self._ang[m]
+        p, q = self._exact
+        f = _residues(self._angle_pair, m, 2 * q)[1]
+        return wrap_angle(math.pi * ((p * f) % (2 * q)) / q + self._seed(m - 1))
 
     def cumulative_plus(self, m: int) -> float:
         """Total rotation accrued by the tape-plus branch after 2m steps.
@@ -221,53 +229,43 @@ class AngleSequence:
         """
         if m < 0:
             raise ValueError(f"cycle index must be >= 0, got {m}")
-        cfg = self.config
-        if (
-            cfg.exact is not None
-            and cfg.mode is ScheduleMode.FIBONACCI
-            and cfg.delta == 0.0
-        ):
-            p, q = cfg.exact
-            # sum_{j<=m} F_j = F_{m+2} - 1
-            r = (p * (fib_mod(m + 2, 2 * q) - 1)) % (2 * q)
-            return math.pi * r / q
-        self._grow(m)
-        return self._cum[m]
+        if self._exact is None:
+            self._grow(m)
+            return self._cum[m]
+        p, q = self._exact
+        f_prev, f = _residues(self._cum_pair, m, 2 * q)
+        # sum_{j<=m} F_j = F_{m+2} - 1 and F_{m+2} = F_{m-1} + 2 F_m
+        r = (p * (f_prev + 2 * f - 1)) % (2 * q)
+        return wrap_angle(math.pi * r / q + self._seed(m + 1))
 
     def cumulative_minus(self, n: int) -> float:
         """Cumulative angle of the tape-minus branch after n steps.
 
         The head of this branch is reflected by every conditional flip, so
         the angle obeys C_{2m} = -C_{2m-1} and C_{2m-1} = a_m + C_{2m-2};
-        this evaluates the resulting alternating sum (seed included) mod 2*pi.
+        this evaluates the resulting alternating sum (seed included) mod
+        2*pi, in closed form (p/q)*pi * ((-1)^m - F_{m-1}) - delta * F_{m-2}
+        on the exact backend.
         """
         if n < 0:
             raise ValueError(f"step index must be >= 0, got {n}")
         m = (n + 1) // 2
-        cfg = self.config
-        if (
-            cfg.exact is not None
-            and cfg.mode is ScheduleMode.FIBONACCI
-            and cfg.delta == 0.0
-        ):
-            p, q = cfg.exact
-            f = fib_mod(m - 1, 2 * q) if m >= 1 else 1
-            r = (p * ((1 - f) if m % 2 == 0 else -(f + 1))) % (2 * q)
-            even = math.pi * r / q
-        else:
+        if self._exact is None:
             self._grow(m)
             sign = 1.0 if m % 2 == 0 else -1.0
             even = wrap_angle(sign * self._ang[0] - (-1.0) ** m * self._alt[m])
-        if n % 2 == 0:
-            return even
-        return wrap_angle(-even)
+        else:
+            p, q = self._exact
+            f = _residues(self._cum_pair, m, 2 * q)[0]
+            r = (p * ((1 - f) if m % 2 == 0 else -(f + 1))) % (2 * q)
+            even = wrap_angle(math.pi * r / q - self._seed(m - 2))
+        return even if n % 2 == 0 else wrap_angle(-even)
 
     def delta_fib(self, m: int) -> float:
         """Accumulated seed perturbation delta * F_m mod 2*pi, m >= 0."""
         if m < 0:
             raise ValueError(f"index must be >= 0, got {m}")
-        self._grow(max(m, 1))
-        return self._dfib[m]
+        return self._seed(m)
 
     def unperturbed(self) -> "AngleSequence":
         """Fresh sequence with the same config but delta = 0."""

@@ -6,6 +6,7 @@ import pytest
 from qturing.analysis import (
     ExperimentConfig,
     Subsystem,
+    distance_rows,
     distance_trace,
     fit_power_law,
     lyapunov_estimate,
@@ -158,6 +159,30 @@ def test_lyapunov_guards():
         lyapunov_estimate(trace, (5, 40))
     with pytest.raises(ValueError):  # too few points
         lyapunov_estimate(trace, (5, 7))
+
+
+@pytest.mark.parametrize("window,message", [
+    ((15, 5), "fit window is inverted: first cycle 15 > last cycle 5"),
+    ((-3, 15), "fit window starts at cycle -3, must start at >= 0"),
+], ids=["inverted", "negative-start"])
+def test_lyapunov_rejects_bad_window(window, message):
+    trace = distance_trace(experiment(ScheduleMode.FIBONACCI, 1e-8, 60, Subsystem.HEAD))
+    with pytest.raises(ValueError) as err:
+        lyapunov_estimate(trace, window)
+    assert str(err.value) == message
+
+
+def test_lyapunov_window_may_start_at_cycle_zero():
+    trace = distance_trace(experiment(ScheduleMode.FIBONACCI, 1e-8, 60, Subsystem.HEAD))
+    assert lyapunov_estimate(trace, (0, 15)) == pytest.approx(LOG_GOLDEN_RATIO, rel=0.2)
+
+
+def test_distance_rows_stream_the_trace():
+    cfg = experiment(ScheduleMode.FIBONACCI, 0.001, 105, Subsystem.TAPE, record_every=10)
+    rows = distance_rows(cfg)
+    assert iter(rows) is rows  # a generator: rows are made as they are read
+    trace = distance_trace(cfg)
+    assert list(rows) == list(zip(trace.steps, trace.d2, trace.overlap))
 
 
 def test_lyapunov_requires_recorded_cycles():

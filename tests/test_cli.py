@@ -218,6 +218,18 @@ def test_lyapunov_saturated_window_is_config_error(capsys):
                    "--steps", "120", "--fit-lo", "5", "--fit-hi", "40") == 2
 
 
+@pytest.mark.parametrize("lo,hi,message", [
+    ("15", "5", "error: fit window is inverted: first cycle 15 > last cycle 5\n"),
+    ("-3", "15", "error: fit window starts at cycle -3, must start at >= 0\n"),
+], ids=["inverted", "negative-start"])
+def test_lyapunov_rejects_bad_fit_window(tmp_path, capsys, lo, hi, message):
+    out = tmp_path / "rate.json"
+    assert run_cli("lyapunov", "--alpha1", "2/5", "--steps", "60",
+                   "--fit-lo", lo, "--fit-hi", hi, "--out", str(out)) == 2
+    assert capsys.readouterr().err == message
+    assert list(tmp_path.iterdir()) == []
+
+
 # --- global flag handling ------------------------------------------------------------------
 
 def test_malformed_alpha1_exits_2(tmp_path):
@@ -342,28 +354,34 @@ class _Abort(Exception):
     pass
 
 
-def _fail_after(monkeypatch, tmp_path, calls):
-    """Make the head Bloch vector raise after ``calls`` rows, once the
-    output has started streaming into its temporary file."""
-    real = engine.bloch_vector
+#: the engine function each streamed command calls once per CSV row
+_ROW_CALL = {"pattern": "bloch_vector", "distance": "pair_metrics"}
+
+
+def _fail_after(monkeypatch, tmp_path, calls, command="pattern"):
+    """Make the per-row engine call of ``command`` raise after ``calls``
+    rows, once the output has started streaming into its temporary file."""
+    name = _ROW_CALL[command]
+    real = getattr(engine, name)
     count = [0]
 
-    def flaky(rho):
+    def flaky(*args):
         count[0] += 1
         if count[0] > calls:
-            (tmp,) = tmp_path.glob(".pattern.csv.*.tmp")
+            (tmp,) = tmp_path.glob(f".{command}.csv.*.tmp")
             assert tmp.stat().st_size > 0
             raise _Abort
-        return real(rho)
+        return real(*args)
 
-    monkeypatch.setattr(engine, "bloch_vector", flaky)
+    monkeypatch.setattr(engine, name, flaky)
 
 
-def test_failure_mid_write_leaves_nothing(tmp_path, monkeypatch):
-    _fail_after(monkeypatch, tmp_path, 9000)
+@pytest.mark.parametrize("command", ["pattern", "distance"])
+def test_failure_mid_write_leaves_nothing(tmp_path, monkeypatch, command):
+    _fail_after(monkeypatch, tmp_path, 9000, command)
     with pytest.raises(_Abort):
-        run_cli("pattern", "--alpha1", "2/5", "--steps", "10000",
-                "--out", str(tmp_path / "pattern.csv"))
+        run_cli(command, "--alpha1", "2/5", "--steps", "10000",
+                "--out", str(tmp_path / f"{command}.csv"))
     assert list(tmp_path.iterdir()) == []
 
 
@@ -419,6 +437,20 @@ def test_streamed_pattern_matches_joined_text(tmp_path):
     assert out.read_bytes() == data
     manifest = json.loads((tmp_path / "pat.csv.manifest.json").read_text())
     assert manifest["sha256"] == hashlib.sha256(data).hexdigest()
+
+
+def test_streamed_distance_matches_collected_trace(tmp_path):
+    out = tmp_path / "dist.csv"
+    assert run_cli("distance", "--alpha1", "2/5", "--steps", "9001",
+                   "--subsystem", "network", "--out", str(out)) == 0
+    cfg = analysis.ExperimentConfig(
+        schedule=parse_alpha1("2/5", ScheduleMode.FIBONACCI, 0.001),
+        delta=0.001, steps=9001, subsystem="network")
+    trace = analysis.distance_trace(cfg)
+    lines = ["n,d2,overlap"] + [
+        f"{n},{d2:.17g},{ov:.17g}" for n, d2, ov in zip(trace.steps, trace.d2, trace.overlap)
+    ]
+    assert out.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
 
 
 def test_oracle_check_fails_on_nan_deviation(capsys, monkeypatch):

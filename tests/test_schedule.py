@@ -242,6 +242,18 @@ def test_cumulative_minus_exact_matches_float():
         assert circ_dist(exact.cumulative_minus(n), plain.cumulative_minus(n)) < 1e-11
 
 
+@pytest.mark.parametrize("delta", [1e-3, 0.01])
+def test_exact_cumulatives_with_delta_match_float(delta):
+    # the exact backend's seed terms delta * F_{m+1} and -delta * F_{m-2}
+    # (F_{-1} = 1, F_{-2} = -1 at m = 1, 0) against the float running sums;
+    # the two round differently, 1.5e-12 apart at most for n < 40
+    exact = AngleSequence(ScheduleConfig.exact_pi(2, 5, delta=delta))
+    plain = make_seq(2 * math.pi / 5, delta=delta)
+    for n in range(0, 40):
+        assert circ_dist(exact.cumulative_minus(n), plain.cumulative_minus(n)) < 1e-11
+        assert circ_dist(exact.cumulative_plus(n // 2), plain.cumulative_plus(n // 2)) < 1e-11
+
+
 # --- alternating-index sums -------------------------------------------------
 
 def ab_angles(seq, m):
@@ -379,13 +391,59 @@ def test_exact_delta_growth_in_uneven_chunks_is_bit_identical(p, q):
     assert whole.cumulative_minus(2 * m_max) == seq.cumulative_minus(2 * m_max)
 
 
-def test_exact_delta_growth_needs_no_fib_mod(monkeypatch):
+@pytest.mark.parametrize("delta", [1e-3, 0.0])
+def test_exact_delta_growth_needs_no_fib_mod(monkeypatch, delta):
     import qturing.schedule as schedule
 
-    seq = AngleSequence(ScheduleConfig.exact_pi(7, 13, delta=1e-3))
+    seq = AngleSequence(ScheduleConfig.exact_pi(7, 13, delta=delta))
     calls = []
     monkeypatch.setattr(schedule, "fib_mod", lambda n, mod: calls.append(n) or fib_mod(n, mod))
     for m in range(1, 2001):
         seq.angle(m)
         seq.cumulative_plus(m // 2)
     assert calls == []
+
+
+# --- exact backend: any query order gives the ascending values -------------------
+
+QUERIES = ("angle", "cumulative_plus", "cumulative_minus", "delta_fib")
+LOWEST = {"angle": 1, "cumulative_plus": 0, "cumulative_minus": 0, "delta_fib": 0}
+
+
+def ascending_values(config, kind, top):
+    """Values of one query kind at every index up to ``top``, each read in
+    ascending order from a fresh sequence."""
+    seq = AngleSequence(config)
+    query = getattr(seq, kind)
+    return {i: query(i) for i in range(LOWEST[kind], top + 1)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    pq=st.sampled_from([(2, 5), (1, 3), (7, 13), (355, 113), (3, 1), (1, 999983)]),
+    delta=st.sampled_from([0.0, 1e-3, 1e-8]),
+    moves=st.lists(
+        st.tuples(
+            st.sampled_from(QUERIES),
+            # small forward steps, and jumps backward or past the advance window
+            st.one_of(st.integers(min_value=0, max_value=3),
+                      st.integers(min_value=-400, max_value=400)),
+        ),
+        min_size=1, max_size=80,
+    ),
+)
+def test_exact_queries_in_any_order_match_ascending_reads(pq, delta, moves):
+    # every value must equal, bit for bit, what a fresh sequence returns
+    # when it is read in ascending order
+    config = ScheduleConfig.exact_pi(*pq, delta=delta)
+    queries, index = [], 0
+    for kind, move in moves:
+        index = max(index + move, LOWEST[kind])
+        queries.append((kind, index))
+    reference = {
+        kind: ascending_values(config, kind, max(i for k, i in queries if k == kind))
+        for kind in {kind for kind, _ in queries}
+    }
+    seq = AngleSequence(config)
+    for kind, i in queries:
+        assert getattr(seq, kind)(i) == reference[kind][i], (kind, i)
