@@ -376,13 +376,20 @@ def _fail_after(monkeypatch, tmp_path, calls, command="pattern"):
     monkeypatch.setattr(engine, name, flaky)
 
 
-@pytest.mark.parametrize("command", ["pattern", "distance"])
-def test_failure_mid_write_leaves_nothing(tmp_path, monkeypatch, command):
+def _assert_failure_mid_write_leaves_nothing(tmp_path, monkeypatch, command):
     _fail_after(monkeypatch, tmp_path, 9000, command)
     with pytest.raises(_Abort):
         run_cli(command, "--alpha1", "2/5", "--steps", "10000",
                 "--out", str(tmp_path / f"{command}.csv"))
     assert list(tmp_path.iterdir()) == []
+
+
+def test_failure_mid_write_leaves_nothing(tmp_path, monkeypatch):
+    _assert_failure_mid_write_leaves_nothing(tmp_path, monkeypatch, "pattern")
+
+
+def test_failure_mid_distance_write_leaves_nothing(tmp_path, monkeypatch):
+    _assert_failure_mid_write_leaves_nothing(tmp_path, monkeypatch, "distance")
 
 
 def test_failure_mid_write_keeps_earlier_output(tmp_path, monkeypatch):

@@ -391,8 +391,7 @@ def test_exact_delta_growth_in_uneven_chunks_is_bit_identical(p, q):
     assert whole.cumulative_minus(2 * m_max) == seq.cumulative_minus(2 * m_max)
 
 
-@pytest.mark.parametrize("delta", [1e-3, 0.0])
-def test_exact_delta_growth_needs_no_fib_mod(monkeypatch, delta):
+def _assert_ascending_growth_needs_no_fib_mod(monkeypatch, delta):
     import qturing.schedule as schedule
 
     seq = AngleSequence(ScheduleConfig.exact_pi(7, 13, delta=delta))
@@ -402,6 +401,14 @@ def test_exact_delta_growth_needs_no_fib_mod(monkeypatch, delta):
         seq.angle(m)
         seq.cumulative_plus(m // 2)
     assert calls == []
+
+
+def test_exact_delta_growth_needs_no_fib_mod(monkeypatch):
+    _assert_ascending_growth_needs_no_fib_mod(monkeypatch, 1e-3)
+
+
+def test_exact_growth_without_delta_needs_no_fib_mod(monkeypatch):
+    _assert_ascending_growth_needs_no_fib_mod(monkeypatch, 0.0)
 
 
 # --- exact backend: any query order gives the ascending values -------------------
