@@ -33,6 +33,7 @@ from .engine import (
     pair_metrics,
     reduce_spin,
     run,
+    spin_bloch,
 )
 from .oracle import (
     PrimitiveBranch,
@@ -88,6 +89,7 @@ __all__ = [
     "perturbed_cumulative_periodic",
     "reduce_spin",
     "run",
+    "spin_bloch",
     "stability_limits",
     "stability_matrix_numeric",
     "tape_sigma3",

@@ -87,8 +87,7 @@ def trajectory_bloch(
     every ``record_every`` steps and at the last step."""
     for n, state in engine.iterate(seq, initial, steps):
         if n % record_every == 0 or n == steps:
-            head = engine.bloch_vector(engine.reduce_spin(state, engine.Spin.HEAD))
-            yield TrajectoryRecord(n, head)
+            yield TrajectoryRecord(n, engine.spin_bloch(state, engine.Spin.HEAD))
 
 
 _SPIN = {
@@ -134,6 +133,15 @@ def _slope(xs: list[float], ys: list[float]) -> float:
     return sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sum((x - mx) ** 2 for x in xs)
 
 
+def check_fit_window(fit_window: tuple[int, int]) -> None:
+    """Reject a fit window that starts below cycle 0 or ends before it starts."""
+    m_lo, m_hi = fit_window
+    if m_lo < 0:
+        raise ValueError(f"fit window starts at cycle {m_lo}, must start at >= 0")
+    if m_lo > m_hi:
+        raise ValueError(f"fit window is inverted: first cycle {m_lo} > last cycle {m_hi}")
+
+
 def lyapunov_estimate(trace: DistanceTrace, fit_window: tuple[int, int]) -> float:
     """Divergence rate per two-step cycle from a pre-saturation window.
 
@@ -143,11 +151,8 @@ def lyapunov_estimate(trace: DistanceTrace, fit_window: tuple[int, int]) -> floa
     stay below the saturation guard d2 < 0.5; a Fibonacci schedule targets
     ln((1 + sqrt(5))/2) ~ 0.4812.
     """
+    check_fit_window(fit_window)
     m_lo, m_hi = fit_window
-    if m_lo < 0:
-        raise ValueError(f"fit window starts at cycle {m_lo}, must start at >= 0")
-    if m_lo > m_hi:
-        raise ValueError(f"fit window is inverted: first cycle {m_lo} > last cycle {m_hi}")
     ms, logs = [], []
     for m in range(m_lo, m_hi + 1):
         try:
@@ -177,6 +182,10 @@ def fit_power_law(trace: DistanceTrace, window: tuple[int, int]) -> float:
     if len(pts) < 5:
         raise ValueError(f"window holds {len(pts)} usable points, need >= 5")
     return _slope([math.log(n) for n, _ in pts], [0.5 * math.log(d2) for _, d2 in pts])
+
+
+class ClosedFormMismatch(RuntimeError):
+    """A simulated stability factor disagrees with its closed form."""
 
 
 @dataclass(frozen=True)
@@ -210,28 +219,27 @@ def stability_matrix_numeric(
     Runs the delta-perturbed trajectory over one period 2m and forms the
     ratios of the in-plane head components to their initial values; the
     result must agree with the finite-delta closed forms to 1e-8 relative,
-    or the run aborts.
+    or ClosedFormMismatch is raised.
     """
     if not 0.0 < delta <= 0.1:
         raise ValueError(f"delta must lie in (0, 0.1], got {delta}")
     _require_orbit(schedule, m)
 
     seq_a = AngleSequence(replace(schedule, delta=0.0))
-    closure = engine.bloch_vector(
-        engine.reduce_spin(engine.run(seq_a, engine.init_state(0.0), 2 * m), engine.Spin.HEAD)
-    )
+    end_a = engine.run(seq_a, engine.init_state(0.0), 2 * m)
+    closure = engine.spin_bloch(end_a, engine.Spin.HEAD)
     if abs(closure.s2) > 1e-8 or abs(closure.s3 + 1.0) > 1e-8:
         raise ValueError(f"orbit fails to close after {2 * m} steps: {closure}")
 
     seq_b = AngleSequence(replace(schedule, delta=delta))
     final = engine.run(seq_b, engine.init_state(delta), 2 * m)
-    head = engine.bloch_vector(engine.reduce_spin(final, engine.Spin.HEAD))
+    head = engine.spin_bloch(final, engine.Spin.HEAD)
     m11 = head.s2 / math.sin(delta)
     m22 = head.s3 / (-math.cos(delta))
     m11_closed, m22_closed = oracle.stability_matrix_closed(m, delta)
     for num, closed, name in ((m11, m11_closed, "M11"), (m22, m22_closed, "M22")):
         if abs(num - closed) > 1e-8 * abs(closed):
-            raise RuntimeError(
+            raise ClosedFormMismatch(
                 f"{name} simulation/closed-form mismatch: {num!r} vs {closed!r}"
             )
     return StabilityResult(m, delta, m11, m22, m11_closed, m22_closed)
@@ -256,8 +264,7 @@ def tape_stability_numeric(m: int, delta: float, schedule: ScheduleConfig) -> fl
         picks = {}
         for n, state in engine.iterate(seq, engine.init_state(head_angle), upto):
             if n in (2, upto):
-                rho = engine.reduce_spin(state, engine.Spin.TAPE)
-                picks[n] = engine.bloch_vector(rho).s3
+                picks[n] = engine.spin_bloch(state, engine.Spin.TAPE).s3
         return picks
 
     n_final = 2 * m + 2

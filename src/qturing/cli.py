@@ -135,7 +135,10 @@ def cmd_pattern(args: argparse.Namespace) -> int:
     seq = AngleSequence(schedule)
     initial = engine.init_state(args.head_angle, TapeState(args.tape))
     records = analysis.trajectory_bloch(seq, initial, args.steps, args.record_every)
-    rows = (f"{n},{h.s1:.17g},{h.s2:.17g},{h.s3:.17g},{h.length_sq():.17g}" for n, h in records)
+    rows = (
+        "%d,%.17g,%.17g,%.17g,%.17g" % (n, s1, s2, s3, s1 * s1 + s2 * s2 + s3 * s3)
+        for n, (s1, s2, s3) in records
+    )
     config = {
         "schedule": _config_json(schedule),
         "steps": args.steps,
@@ -178,14 +181,20 @@ def cmd_stability(args: argparse.Namespace) -> int:
     if schedule.exact is None:
         raise ValueError("stability requires alpha1 as an exact p/q of pi")
     p, q = schedule.exact
-    if not all(oracle.orbit_conditions(p, q, args.m)):
+    conditions = list(oracle.orbit_conditions(p, q, args.m))
+    if not all(conditions):
         report = {
             "error": "not a periodic orbit",
             "alpha1": {"p": p, "q": q},
             "m": args.m,
-            "conditions": list(oracle.orbit_conditions(p, q, args.m)),
+            "conditions": conditions,
         }
         _emit_report(report, args.out, "stability", config)
+        print(
+            f"error: no periodic orbit of period {2 * args.m} at alpha1 = ({p}/{q})*pi: "
+            f"closure conditions {conditions}",
+            file=sys.stderr,
+        )
         return 2
 
     seq = AngleSequence(schedule)
@@ -193,7 +202,11 @@ def cmd_stability(args: argparse.Namespace) -> int:
     limits = oracle.stability_limits(args.m, seq if tape_defined else None)
     results = []
     for delta in args.deltas:
-        res = analysis.stability_matrix_numeric(args.m, delta, schedule)
+        try:
+            res = analysis.stability_matrix_numeric(args.m, delta, schedule)
+        except analysis.ClosedFormMismatch as exc:  # a check failure, not a usage error
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
         row = {
             "delta": delta,
             "m11": res.m11,
@@ -270,8 +283,9 @@ def cmd_lyapunov(args: argparse.Namespace) -> int:
         steps=args.steps,
         subsystem=Subsystem(args.subsystem),
     )
-    trace = analysis.distance_trace(cfg)
-    rate = analysis.lyapunov_estimate(trace, (args.fit_lo, args.fit_hi))
+    window = (args.fit_lo, args.fit_hi)
+    analysis.check_fit_window(window)  # before the trace, which may be long
+    rate = analysis.lyapunov_estimate(analysis.distance_trace(cfg), window)
     report = {
         "rate_per_cycle": rate,
         "fit_window_cycles": [args.fit_lo, args.fit_hi],

@@ -150,6 +150,24 @@ def bloch_vector(rho: Matrix2) -> BlochVector:
     return BlochVector(*comps)
 
 
+def spin_bloch(state: State, spin: Spin | str) -> BlochVector:
+    """Bloch vector of one spin, straight from the four amplitudes.
+
+    The value of ``bloch_vector(reduce_spin(state, spin))``, summed without
+    forming the matrix: with r = rho_01 = c0 conj(c2) + c1 conj(c3) the head
+    has s1 = 2 Re r, s2 = 2 Im r and s3 = rho_11 - rho_00; the tape uses the
+    same formulas with c[1] and c[2] swapped.  Adding 0.0 turns a -0.0 into
+    0.0, which the matrix route never emits.
+    """
+    c0, c1, c2, c3 = state
+    if spin is not Spin.HEAD and Spin(spin) is Spin.TAPE:
+        c1, c2 = c2, c1
+    r = c0 * c2.conjugate() + c1 * c3.conjugate()
+    p0 = (c0 * c0.conjugate()).real + (c1 * c1.conjugate()).real
+    p1 = (c2 * c2.conjugate()).real + (c3 * c3.conjugate()).real
+    return BlochVector(2.0 * r.real + 0.0, 2.0 * r.imag + 0.0, p1 - p0 + 0.0)
+
+
 def distance_sq(rho_a: Matrix2, rho_b: Matrix2) -> float:
     """Squared distance Tr[(rho_a - rho_b)^2], in [0, 2] for unit-trace states.
 

@@ -1,14 +1,20 @@
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import tempfile
 import textwrap
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qturing import analysis, engine
 from qturing.cli import main, parse_alpha1
@@ -101,6 +107,30 @@ def test_pattern_aperiodic_even_steps_never_collide(tmp_path):
     assert len(pts) == 1000
 
 
+@pytest.mark.parametrize("argv", [
+    ["--alpha1", "2/5", "--steps", "300"],
+    ["--alpha1", "1.2566370616", "--steps", "300"],
+    ["--alpha1", "0.3", "--tape", "plus", "--head-angle", "0.7", "--steps", "300"],
+    ["--alpha1", "2/5", "--steps", "300", "--record-every", "7"],
+], ids=["exact", "float", "plus-tape-head-angle", "record-every-7"])
+def test_pattern_bytes_match_density_matrix_route(tmp_path, argv):
+    # the CSV rows from the amplitude route equal rows built from
+    # bloch_vector(reduce_spin(...)) over the engine's own states, byte for byte
+    out = tmp_path / "pat.csv"
+    assert run_cli("pattern", *argv, "--out", str(out)) == 0
+    opts = dict(zip(argv[::2], argv[1::2]))
+    steps, every = int(opts["--steps"]), int(opts.get("--record-every", "1"))
+    seq = analysis.AngleSequence(parse_alpha1(opts["--alpha1"], ScheduleMode.FIBONACCI, 0.0))
+    initial = engine.init_state(float(opts.get("--head-angle", "0")),
+                                opts.get("--tape", "minus1"))
+    lines = ["n,s1,s2,s3,purity"]
+    for n, state in engine.iterate(seq, initial, steps):
+        if n % every == 0 or n == steps:
+            h = engine.bloch_vector(engine.reduce_spin(state, engine.Spin.HEAD))
+            lines.append(f"{n},{h.s1:.17g},{h.s2:.17g},{h.s3:.17g},{h.length_sq():.17g}")
+    assert out.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
+
+
 # --- distance ---------------------------------------------------------------------
 
 def test_distance_fixed_mode_network_constant(tmp_path):
@@ -180,6 +210,44 @@ def test_stability_off_orbit_structured_error(capsys):
     assert report["conditions"] == [False, False, False]
 
 
+_OFF_ORBIT = ("error: no periodic orbit of period 6 at alpha1 = (2/5)*pi: "
+              "closure conditions [False, False, False]\n")
+
+
+def test_stability_off_orbit_prints_one_error_line(tmp_path, capsys):
+    assert run_cli("stability", "--alpha1", "2/5", "--m", "3") == 2
+    assert capsys.readouterr().err == _OFF_ORBIT
+    out = tmp_path / "st.json"
+    assert run_cli("stability", "--alpha1", "2/5", "--m", "3", "--out", str(out)) == 2
+    assert capsys.readouterr() == ("", _OFF_ORBIT)
+    assert json.loads(out.read_text())["error"] == "not a periodic orbit"
+
+
+@pytest.mark.parametrize("alpha1,deltas", [("2/5", "0.1"), ("1/2", "1e-4,1e-5")])
+def test_stability_mismatch_is_check_failure(tmp_path, capsys, alpha1, deltas):
+    # past the float seed term's drift horizon the simulated M11 leaves its
+    # closed form by more than 1e-8 relative: exit 1, one line, no output
+    out = tmp_path / "st.json"
+    argv = ["stability", "--alpha1", alpha1, "--m", "60", "--deltas", deltas]
+    assert run_cli(*argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"error: M11 simulation/closed-form mismatch: \S+ vs \S+\n",
+                        captured.err)
+    assert run_cli(*argv, "--out", str(out)) == 1
+    assert capsys.readouterr().err == captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_stability_catches_only_the_mismatch(monkeypatch):
+    def broken(m, delta, schedule):
+        raise RuntimeError("not a closed-form mismatch")
+
+    monkeypatch.setattr(analysis, "stability_matrix_numeric", broken)
+    with pytest.raises(RuntimeError, match="not a closed-form mismatch"):
+        run_cli("stability", "--alpha1", "2/5", "--m", "20", "--deltas", "1e-4")
+
+
 # --- oracle-check -----------------------------------------------------------------------
 
 def test_oracle_check_passes(capsys):
@@ -228,6 +296,17 @@ def test_lyapunov_rejects_bad_fit_window(tmp_path, capsys, lo, hi, message):
                    "--fit-lo", lo, "--fit-hi", hi, "--out", str(out)) == 2
     assert capsys.readouterr().err == message
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("lo,hi", [("15", "5"), ("-3", "15")], ids=["inverted", "negative-start"])
+def test_lyapunov_checks_fit_window_before_the_trace(monkeypatch, capsys, lo, hi):
+    def no_trace(cfg):
+        raise AssertionError("distance trace computed for a bad fit window")
+
+    monkeypatch.setattr(analysis, "distance_rows", no_trace)
+    assert run_cli("lyapunov", "--alpha1", "2/5", "--steps", "200000",
+                   "--fit-lo", lo, "--fit-hi", hi) == 2
+    assert capsys.readouterr().err.startswith("error: fit window ")
 
 
 # --- global flag handling ------------------------------------------------------------------
@@ -355,7 +434,7 @@ class _Abort(Exception):
 
 
 #: the engine function each streamed command calls once per CSV row
-_ROW_CALL = {"pattern": "bloch_vector", "distance": "pair_metrics"}
+_ROW_CALL = {"pattern": "spin_bloch", "distance": "pair_metrics"}
 
 
 def _fail_after(monkeypatch, tmp_path, calls, command="pattern"):
@@ -490,3 +569,76 @@ def test_csv_floats_carry_17_significant_digits(tmp_path):
     # written with %.17g: parsing and re-formatting reproduces the field
     assert row["s2"] == f"{float(row['s2']):.17g}"
     assert len(row["s2"].lstrip("-0.")) >= 16
+
+
+# --- fuzzing ---------------------------------------------------------------------------------
+
+#: awkward numbers, next to ordinary ones, for every numeric option
+_AWKWARD = ["nan", "inf", "-inf", "1/0", "-3/7", "2/5", "0/1", "1/2", "1e308", "-1e308",
+            "0", "-0.5", "0.3", "1e-3", "abc"]
+
+
+def _values(*extra):
+    return st.sampled_from(_AWKWARD + list(extra))
+
+
+def _ints(lo, hi):
+    return st.integers(lo, hi).map(str)
+
+
+_MODES = st.sampled_from(["fibonacci", "fixed", "arithmetic", "cubic"])
+_SUBSYSTEMS = st.sampled_from(["head", "tape", "network", "both"])
+_OUT = st.just("{out}")
+
+#: per subcommand: (option, values, always given); --steps stays <= 200
+_OPTIONS = {
+    "pattern": [("--alpha1", _values(), True), ("--steps", _ints(-3, 200), True),
+                ("--mode", _MODES, False), ("--head-angle", _values(), False),
+                ("--tape", st.sampled_from(["minus1", "plus1", "plus", "minus", "up"]), False),
+                ("--record-every", _ints(-1, 9), False), ("--out", _OUT, True)],
+    "distance": [("--alpha1", _values(), True), ("--steps", _ints(-3, 200), True),
+                 ("--delta", _values("1e-8"), False), ("--mode", _MODES, False),
+                 ("--subsystem", _SUBSYSTEMS, False), ("--record-every", _ints(-1, 9), False),
+                 ("--out", _OUT, True)],
+    "stability": [("--alpha1", _values("1/3", "1/4"), True),
+                  ("--m", st.sampled_from(["1", "2", "3", "20", "60"]), True),
+                  ("--deltas", st.lists(_values("1e-4", "1e-6", "0.1"), min_size=1,
+                                        max_size=3).map(",".join), False),
+                  ("--out", _OUT, False)],
+    "oracle-check": [("--alpha1", _values(), True), ("--steps", _ints(-3, 200), True),
+                     ("--delta", _values("1e-8"), False),
+                     ("--tolerance", _values("1e-9"), False), ("--out", _OUT, False)],
+    "lyapunov": [("--alpha1", _values(), True), ("--steps", _ints(-3, 200), True),
+                 ("--delta", _values("1e-8"), False), ("--mode", _MODES, False),
+                 ("--subsystem", _SUBSYSTEMS, False), ("--fit-lo", _ints(-3, 40), False),
+                 ("--fit-hi", _ints(-3, 40), False), ("--out", _OUT, False)],
+}
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from(sorted(_OPTIONS)))
+    argv = [command]
+    for option, values, always in _OPTIONS[command]:
+        if always or draw(st.booleans()):
+            argv += [option, draw(values)]
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=cli_argv())
+def test_cli_fuzz_exit_codes(argv):
+    # any argv: exit 0, 1 or 2, no exception out of main, and a usage error
+    # is exactly one "error:" line on stderr
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        args = [a.replace("{out}", os.path.join(tmp, "out")) for a in argv]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = main(args)
+            except SystemExit as exc:
+                code = exc.code
+    assert code in (0, 1, 2)
+    if code == 2:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines

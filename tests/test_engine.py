@@ -25,6 +25,7 @@ from qturing.engine import (
     pair_metrics,
     reduce_spin,
     run,
+    spin_bloch,
 )
 from qturing.schedule import AngleSequence, ScheduleConfig, ScheduleMode
 
@@ -405,6 +406,37 @@ def test_pair_metrics_tape_is_not_head():
 def test_pair_metrics_rejects_unknown_spin():
     with pytest.raises(ValueError):
         pair_metrics(init_state(0.0), init_state(0.1), "network")
+
+
+# --- Bloch vectors from amplitudes ----------------------------------------------
+
+#: real or imaginary parts with exact and signed zeros among them
+part_strategy = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -0.5]),
+    st.floats(min_value=-1.0, max_value=1.0),
+)
+raw_state_strategy = st.tuples(
+    *[st.builds(complex, part_strategy, part_strategy) for _ in range(4)]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(state=st.one_of(state_strategy, raw_state_strategy))
+def test_spin_bloch_matches_density_matrix_route(state):
+    # the same floats, signed zeros included: compared by repr, not by value
+    for spin in (Spin.HEAD, Spin.TAPE, "head", "tape"):
+        assert repr(spin_bloch(state, spin)) == repr(bloch_vector(reduce_spin(state, spin)))
+
+
+def test_spin_bloch_of_zero_amplitudes_has_no_negative_zero():
+    state = (complex(-0.0, -0.0), complex(0.0, -0.0), complex(-0.0, 0.0), -0j)
+    for spin in (Spin.HEAD, Spin.TAPE):
+        assert repr(spin_bloch(state, spin)) == "BlochVector(s1=0.0, s2=0.0, s3=0.0)"
+
+
+def test_spin_bloch_rejects_unknown_spin():
+    with pytest.raises(ValueError):
+        spin_bloch(init_state(0.0), "network")
 
 
 def test_gates_return_complex_4_tuples():
