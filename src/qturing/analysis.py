@@ -16,7 +16,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from . import engine, oracle
 from .engine import BlochVector, State
@@ -190,17 +190,46 @@ class ClosedFormMismatch(RuntimeError):
 
 @dataclass(frozen=True)
 class StabilityResult:
-    m: int
     delta: float
     m11: float
     m22: float
     m11_closed: float
     m22_closed: float
+    tape: float | None
 
 
-def _require_orbit(schedule: ScheduleConfig, m: int) -> tuple[int, int]:
+def _orbit_run(schedule: ScheduleConfig, m: int, delta: float) -> tuple[BlochVector, float, float]:
+    """Head Bloch vector at step 2m and tape sigma3 at steps 2 and 2m + 2 of
+    the run with head preparation and schedule seed both set to delta."""
+    seq = AngleSequence(replace(schedule, delta=delta))
+    for n, state in engine.iterate(seq, engine.init_state(delta), 2 * m + 2):
+        if n == 2:
+            tape_2 = engine.spin_bloch(state, engine.Spin.TAPE).s3
+        if n == 2 * m:
+            head = engine.spin_bloch(state, engine.Spin.HEAD)
+    return head, tape_2, engine.spin_bloch(state, engine.Spin.TAPE).s3
+
+
+def stability_numeric(
+    m: int, deltas: Iterable[float], schedule: ScheduleConfig
+) -> list[StabilityResult]:
+    """Orbit stability factors from simulation, one result per delta.
+
+    Checks once that alpha1 is an exact p/q of pi and that cycle m >= 1
+    closes a periodic orbit, then runs the unperturbed trajectory once and
+    each delta-perturbed one once, to step 2m + 2.  M11 and M22 are the
+    in-plane head components at step 2m over their initial values; each
+    must agree with its finite-delta closed form to 1e-8 relative, or
+    ClosedFormMismatch is raised.  The tape factor is the response ratio
+    delta sigma3(2m+2) / delta sigma3(2), which converges to
+    F_{m+1} sin(a_{m+2}) / sin(a_1) as delta -> 0; it is None where
+    ``oracle.tape_factor_undefined`` gives a reason.  The deltas are taken
+    in order, each checked to lie in (0, 0.1] just before its run.
+    """
     if schedule.exact is None:
         raise ValueError("stability factors need alpha1 declared as an exact p/q of pi")
+    if m < 1:
+        raise ValueError(f"cycle index must be >= 1, got {m}")
     p, q = schedule.exact
     conds = oracle.orbit_conditions(p, q, m)
     if not all(conds):
@@ -208,69 +237,29 @@ def _require_orbit(schedule: ScheduleConfig, m: int) -> tuple[int, int]:
             f"no periodic orbit of period {2 * m} at alpha1 = ({p}/{q})*pi: "
             f"closure conditions {conds}"
         )
-    return p, q
-
-
-def stability_matrix_numeric(
-    m: int, delta: float, schedule: ScheduleConfig
-) -> StabilityResult:
-    """Orbit stability factors from simulation, checked against closed forms.
-
-    Runs the delta-perturbed trajectory over one period 2m and forms the
-    ratios of the in-plane head components to their initial values; the
-    result must agree with the finite-delta closed forms to 1e-8 relative,
-    or ClosedFormMismatch is raised.
-    """
-    if not 0.0 < delta <= 0.1:
-        raise ValueError(f"delta must lie in (0, 0.1], got {delta}")
-    _require_orbit(schedule, m)
-
-    seq_a = AngleSequence(replace(schedule, delta=0.0))
-    end_a = engine.run(seq_a, engine.init_state(0.0), 2 * m)
-    closure = engine.spin_bloch(end_a, engine.Spin.HEAD)
+    closure, tape_2a, tape_end_a = _orbit_run(schedule, m, 0.0)
     if abs(closure.s2) > 1e-8 or abs(closure.s3 + 1.0) > 1e-8:
         raise ValueError(f"orbit fails to close after {2 * m} steps: {closure}")
+    tape_defined = oracle.tape_factor_undefined(m, schedule) is None
 
-    seq_b = AngleSequence(replace(schedule, delta=delta))
-    final = engine.run(seq_b, engine.init_state(delta), 2 * m)
-    head = engine.spin_bloch(final, engine.Spin.HEAD)
-    m11 = head.s2 / math.sin(delta)
-    m22 = head.s3 / (-math.cos(delta))
-    m11_closed, m22_closed = oracle.stability_matrix_closed(m, delta)
-    for num, closed, name in ((m11, m11_closed, "M11"), (m22, m22_closed, "M22")):
-        if abs(num - closed) > 1e-8 * abs(closed):
-            raise ClosedFormMismatch(
-                f"{name} simulation/closed-form mismatch: {num!r} vs {closed!r}"
-            )
-    return StabilityResult(m, delta, m11, m22, m11_closed, m22_closed)
-
-
-def tape_stability_numeric(m: int, delta: float, schedule: ScheduleConfig) -> float:
-    """Tape response ratio delta sigma3(2m+2) / delta sigma3(2) from simulation.
-
-    Defined on periodic orbits whose period 2m is divisible by 4 and with
-    sin(alpha1) != 0; converges to F_{m+1} sin(a_{m+2}) / sin(a_1) as
-    delta -> 0.
-    """
-    if not 0.0 < delta <= 0.1:
-        raise ValueError(f"delta must lie in (0, 0.1], got {delta}")
-    if m % 2 != 0:
-        raise ValueError(f"tape factor needs period 2m = 0 (mod 4), got m = {m}")
-    if oracle.sin_alpha1(schedule) == 0.0:
-        raise ValueError("tape factor diverges: sin(alpha1) = 0")
-    _require_orbit(schedule, m)
-
-    def tape_s3(seq: AngleSequence, head_angle: float, upto: int) -> dict[int, float]:
-        picks = {}
-        for n, state in engine.iterate(seq, engine.init_state(head_angle), upto):
-            if n in (2, upto):
-                picks[n] = engine.spin_bloch(state, engine.Spin.TAPE).s3
-        return picks
-
-    n_final = 2 * m + 2
-    a = tape_s3(AngleSequence(replace(schedule, delta=0.0)), 0.0, n_final)
-    b = tape_s3(AngleSequence(replace(schedule, delta=delta)), delta, n_final)
-    denom = b[2] - a[2]
-    if denom == 0.0:
-        raise ValueError("tape perturbation vanished at step 2; cannot form ratio")
-    return (b[n_final] - a[n_final]) / denom
+    results = []
+    for delta in deltas:
+        if not 0.0 < delta <= 0.1:
+            raise ValueError(f"delta must lie in (0, 0.1], got {delta}")
+        head, tape_2b, tape_end_b = _orbit_run(schedule, m, delta)
+        m11 = head.s2 / math.sin(delta)
+        m22 = head.s3 / (-math.cos(delta))
+        m11_closed, m22_closed = oracle.stability_matrix_closed(m, delta)
+        for num, closed, name in ((m11, m11_closed, "M11"), (m22, m22_closed, "M22")):
+            if abs(num - closed) > 1e-8 * abs(closed):
+                raise ClosedFormMismatch(
+                    f"{name} simulation/closed-form mismatch: {num!r} vs {closed!r}"
+                )
+        tape = None
+        if tape_defined:
+            denom = tape_2b - tape_2a
+            if denom == 0.0:
+                raise ValueError("tape perturbation vanished at step 2; cannot form ratio")
+            tape = (tape_end_b - tape_end_a) / denom
+        results.append(StabilityResult(delta, m11, m22, m11_closed, m22_closed, tape))
+    return results

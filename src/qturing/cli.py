@@ -198,17 +198,17 @@ def cmd_stability(args: argparse.Namespace) -> int:
         return 2
 
     seq = AngleSequence(schedule)
-    tape_defined = args.m % 2 == 0 and oracle.sin_alpha1(schedule) != 0.0
+    tape_defined = oracle.tape_factor_undefined(args.m, schedule) is None
     limits = oracle.stability_limits(args.m, seq if tape_defined else None)
+    try:
+        found = analysis.stability_numeric(args.m, args.deltas, schedule)
+    except analysis.ClosedFormMismatch as exc:  # a check failure, not a usage error
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     results = []
-    for delta in args.deltas:
-        try:
-            res = analysis.stability_matrix_numeric(args.m, delta, schedule)
-        except analysis.ClosedFormMismatch as exc:  # a check failure, not a usage error
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+    for res in found:
         row = {
-            "delta": delta,
+            "delta": res.delta,
             "m11": res.m11,
             "m22": res.m22,
             "m11_closed": res.m11_closed,
@@ -217,9 +217,8 @@ def cmd_stability(args: argparse.Namespace) -> int:
             "m22_abs_err": abs(res.m22 - limits.m22),
         }
         if limits.tape is not None:
-            tape = analysis.tape_stability_numeric(args.m, delta, schedule)
-            row["tape"] = tape
-            row["tape_rel_err"] = abs(tape - limits.tape) / abs(limits.tape)
+            row["tape"] = res.tape
+            row["tape_rel_err"] = abs(res.tape - limits.tape) / abs(limits.tape)
         results.append(row)
     report = {
         "alpha1": {"p": p, "q": q},
@@ -280,7 +279,8 @@ def cmd_lyapunov(args: argparse.Namespace) -> int:
     cfg = ExperimentConfig(
         schedule=schedule,
         delta=args.delta,
-        steps=args.steps,
+        # the fit reads d2 at steps 2 * fit_lo ... 2 * fit_hi only
+        steps=min(args.steps, max(2, 2 * args.fit_hi)),
         subsystem=Subsystem(args.subsystem),
     )
     window = (args.fit_lo, args.fit_hi)
@@ -404,6 +404,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--steps must be >= 1")
     if getattr(args, "steps", 0) > 10**6:
         parser.error("--steps must be <= 1e6")
+    if getattr(args, "m", 1) < 1:
+        parser.error("--m must be >= 1")
     try:
         if getattr(args, "record_every", 1) < 1:
             raise ValueError("--record-every must be >= 1")

@@ -1,16 +1,16 @@
 """Closed-form predictions for the driven two-spin network.
 
 Everything here is an independent second route to quantities the state
-engine produces by direct simulation: primitive (entanglement-free) head
-trajectories, their superpositions, the tape polarization, periodic-orbit
-closure in exact integer arithmetic, and the stability factors of periodic
-orbits under a seed perturbation.  Pure functions throughout.
+engine produces by direct simulation: superposed head trajectories (unit
+weights (1, 0) and (0, 1) give the primitive, entanglement-free branches),
+the tape polarization, periodic-orbit closure in exact integer arithmetic,
+and the stability factors of periodic orbits under a seed perturbation.
+Pure functions throughout.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from enum import Enum
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -30,13 +30,6 @@ _TWO_PI = Fraction("6.283185307179586476925286766559005768394")
 #: largest index at which Fibonacci numbers stay meaningful in double
 #: precision products; larger requests are rejected rather than degraded
 _MAX_FIB_INDEX = 90
-
-
-class PrimitiveBranch(str, Enum):
-    """Tape eigenstate branch: |+> or |-> of sigma1."""
-
-    PLUS = "plus"
-    MINUS = "minus"
 
 
 @dataclass(frozen=True)
@@ -77,6 +70,19 @@ def sin_alpha1(config: ScheduleConfig) -> float:
     return 0.0 if abs(s) < 1e-12 else s
 
 
+def tape_factor_undefined(m: int, config: ScheduleConfig) -> str | None:
+    """Why the tape stability factor is undefined at cycle m, or None.
+
+    The factor is defined exactly when the period 2m is divisible by 4 and
+    sin(alpha1) != 0.
+    """
+    if m % 2 != 0:
+        return f"tape factor needs period 2m = 0 (mod 4), got m = {m}"
+    if sin_alpha1(config) == 0.0:
+        return "tape factor diverges: sin(alpha1) = 0"
+    return None
+
+
 def _head_angles(
     seq: AngleSequence, n: int, head_angle: float | None
 ) -> tuple[float, float]:
@@ -101,18 +107,6 @@ def _head_angles(
     return c_plus, c_minus
 
 
-def head_bloch_primitive(
-    seq: AngleSequence,
-    branch: PrimitiveBranch | str,
-    n: int,
-    head_angle: float | None = None,
-) -> BlochVector:
-    """Head Bloch vector (0, sin C, -cos C) of one entanglement-free branch."""
-    c_plus, c_minus = _head_angles(seq, n, head_angle)
-    c = c_plus if PrimitiveBranch(branch) is PrimitiveBranch.PLUS else c_minus
-    return BlochVector(0.0, math.sin(c), -math.cos(c))
-
-
 def head_bloch_superposed(
     seq: AngleSequence,
     weights: SuperpositionWeights,
@@ -123,7 +117,8 @@ def head_bloch_superposed(
 
     The tape eigenstates stay orthogonal for all times, so the reduced head
     state is the convex combination of the branch states with weights
-    |a+|^2 and |a-|^2.
+    |a+|^2 and |a-|^2.  Weights (1, 0) and (0, 1) give the entanglement-free
+    branches alone, each at (0, sin C, -cos C) for its cumulative angle C.
     """
     wp = abs(weights.a_plus) ** 2
     wm = abs(weights.a_minus) ** 2
@@ -135,20 +130,18 @@ def head_bloch_superposed(
     )
 
 
-def tape_sigma3(seq: AngleSequence, n: int, delta: float | None = None) -> float:
+def tape_sigma3(seq: AngleSequence, n: int) -> float:
     """Tape polarization at step n for the initial state |-1, -1>.
 
-    Valid for Fibonacci schedules with a (possibly zero) seed perturbation;
-    the head is assumed prepared with the same angle delta.  The other two
-    tape components vanish identically for this initial state.
+    Valid for Fibonacci schedules with a (possibly zero) seed perturbation
+    delta; the head is assumed prepared with the same angle delta.  The
+    other two tape components vanish identically for this initial state.
     """
     if n < 0:
         raise ValueError(f"step index must be >= 0, got {n}")
     cfg = seq.config
     if cfg.mode is not ScheduleMode.FIBONACCI:
         raise ValueError(f"tape formula requires a Fibonacci schedule, got {cfg.mode}")
-    if delta is not None and delta != cfg.delta:
-        seq = AngleSequence(replace(cfg, delta=delta))
     # the emitted angle at index k+1 already carries delta * F_k
     a = seq.angle(n // 2 + 1)
     if n % 4 in (0, 1):
@@ -249,12 +242,10 @@ def stability_limits(m: int, seq: AngleSequence | None = None) -> StabilityLimit
     _check_fib_index(m + 2)
     tape = None
     if seq is not None:
-        if m % 2 != 0:
-            raise ValueError(f"tape factor needs period 2m = 0 (mod 4), got m = {m}")
-        sin_a1 = sin_alpha1(seq.config)
-        if sin_a1 == 0.0:
-            raise ValueError("tape factor diverges: sin(alpha1) = 0")
-        tape = fib(m + 1) * math.sin(seq.angle(m + 2)) / sin_a1
+        reason = tape_factor_undefined(m, seq.config)
+        if reason is not None:
+            raise ValueError(reason)
+        tape = fib(m + 1) * math.sin(seq.angle(m + 2)) / sin_alpha1(seq.config)
     return StabilityLimits(fib(m - 1), 1.0, tape)
 
 

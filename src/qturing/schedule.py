@@ -21,7 +21,7 @@ a nonzero delta is a float recurrence on every schedule.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 TWO_PI = 2.0 * math.pi
@@ -266,7 +266,3 @@ class AngleSequence:
         if m < 0:
             raise ValueError(f"index must be >= 0, got {m}")
         return self._seed(m)
-
-    def unperturbed(self) -> "AngleSequence":
-        """Fresh sequence with the same config but delta = 0."""
-        return AngleSequence(replace(self.config, delta=0.0))

@@ -10,8 +10,7 @@ from qturing.analysis import (
     distance_trace,
     fit_power_law,
     lyapunov_estimate,
-    stability_matrix_numeric,
-    tape_stability_numeric,
+    stability_numeric,
     trajectory_bloch,
 )
 from qturing import engine
@@ -221,7 +220,7 @@ def test_fit_power_law_needs_points():
 # --- stability factors --------------------------------------------------------------
 
 def test_stability_matrix_at_known_orbit():
-    res = stability_matrix_numeric(20, 1e-6, TWO_FIFTHS_PI)
+    (res,) = stability_numeric(20, [1e-6], TWO_FIFTHS_PI)
     assert res.m11 == pytest.approx(4181, rel=1e-3)
     assert res.m11 == pytest.approx(res.m11_closed, rel=1e-8)
     assert res.m22 == pytest.approx(res.m22_closed, rel=1e-8)
@@ -230,13 +229,13 @@ def test_stability_matrix_at_known_orbit():
 
 
 def test_stability_matrix_m22_limit():
-    res = stability_matrix_numeric(20, 1e-7, TWO_FIFTHS_PI)
+    (res,) = stability_numeric(20, [1e-7], TWO_FIFTHS_PI)
     assert abs(res.m22 - 1.0) < 1e-6
 
 
 def test_stability_matrix_trivial_orbit():
     # alpha1 = 0: every cycle closes, M11 -> F_1 = 1 at m = 2
-    res = stability_matrix_numeric(2, 1e-6, ScheduleConfig.exact_pi(0, 1))
+    (res,) = stability_numeric(2, [1e-6], ScheduleConfig.exact_pi(0, 1))
     assert res.m11 == pytest.approx(1.0, abs=1e-9)
     assert res.m22 == pytest.approx(1.0, abs=1e-9)
 
@@ -244,8 +243,7 @@ def test_stability_matrix_trivial_orbit():
 def test_stability_matrix_converges_to_limits():
     limits = stability_limits(20)
     errs_m11, errs_m22 = [], []
-    for delta in (1e-4, 1e-5, 1e-6):
-        res = stability_matrix_numeric(20, delta, TWO_FIFTHS_PI)
+    for res in stability_numeric(20, (1e-4, 1e-5, 1e-6), TWO_FIFTHS_PI):
         errs_m11.append(abs(res.m11 - limits.m11) / limits.m11)
         errs_m22.append(abs(res.m22 - limits.m22))
     assert errs_m11[0] > errs_m11[1] > errs_m11[2]
@@ -257,26 +255,26 @@ def test_stability_matrix_converges_to_limits():
 
 def test_stability_matrix_rejects_off_orbit_cycles():
     with pytest.raises(ValueError):
-        stability_matrix_numeric(19, 1e-6, TWO_FIFTHS_PI)
+        stability_numeric(19, [1e-6], TWO_FIFTHS_PI)
 
 
 def test_stability_matrix_rejects_inexact_angle():
     cfg = ScheduleConfig(ScheduleMode.FIBONACCI, 2 * math.pi / 5)
     with pytest.raises(ValueError):
-        stability_matrix_numeric(20, 1e-6, cfg)
+        stability_numeric(20, [1e-6], cfg)
 
 
 def test_stability_matrix_rejects_bad_delta():
     with pytest.raises(ValueError):
-        stability_matrix_numeric(20, 0.0, TWO_FIFTHS_PI)
+        stability_numeric(20, [0.0], TWO_FIFTHS_PI)
 
 
 def test_tape_stability_matches_closed_difference_quotient():
     seq = AngleSequence(TWO_FIFTHS_PI)
     a1 = TWO_FIFTHS_PI.alpha1
     a22 = seq.angle(22)
-    for delta in (1e-5, 1e-6):
-        sim = tape_stability_numeric(20, delta, TWO_FIFTHS_PI)
+    for res in stability_numeric(20, (1e-5, 1e-6), TWO_FIFTHS_PI):
+        delta, sim = res.delta, res.tape
         closed = (math.cos(a22 + delta * fib(21)) - math.cos(a22)) / (
             math.cos(a1 + delta) - math.cos(a1)
         )
@@ -286,8 +284,8 @@ def test_tape_stability_matches_closed_difference_quotient():
 def test_tape_stability_converges_to_limit():
     limit = stability_limits(20, AngleSequence(TWO_FIFTHS_PI)).tape
     errs = []
-    for delta in (1e-4, 1e-5, 1e-6, 1e-7):
-        errs.append(abs(tape_stability_numeric(20, delta, TWO_FIFTHS_PI) - limit) / limit)
+    for res in stability_numeric(20, (1e-4, 1e-5, 1e-6, 1e-7), TWO_FIFTHS_PI):
+        errs.append(abs(res.tape - limit) / limit)
     assert all(a > b for a, b in zip(errs, errs[1:]))
     assert errs[-1] < 1e-3  # within 0.1% by delta = 1e-7
 
@@ -295,12 +293,13 @@ def test_tape_stability_converges_to_limit():
 def test_tape_stability_rejects_odd_half_period():
     # period 2m = 2 (mod 4) carries no orbit to linearize around
     with pytest.raises(ValueError):
-        tape_stability_numeric(19, 1e-6, TWO_FIFTHS_PI)
+        stability_numeric(19, [1e-6], TWO_FIFTHS_PI)
 
 
 def test_tape_stability_rejects_degenerate_angle():
-    with pytest.raises(ValueError):
-        tape_stability_numeric(2, 1e-6, ScheduleConfig.exact_pi(0, 1))
+    # sin(alpha1) = 0: the tape ratio is undefined, as the CLI reports it
+    (res,) = stability_numeric(2, [1e-6], ScheduleConfig.exact_pi(0, 1))
+    assert res.tape is None
 
 
 # --- single-trajectory records ---------------------------------------------------------

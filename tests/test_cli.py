@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qturing import analysis, engine
+from qturing import analysis, engine, oracle
 from qturing.cli import main, parse_alpha1
 from qturing.schedule import ScheduleMode
 
@@ -240,12 +240,54 @@ def test_stability_mismatch_is_check_failure(tmp_path, capsys, alpha1, deltas):
 
 
 def test_stability_catches_only_the_mismatch(monkeypatch):
-    def broken(m, delta, schedule):
+    def broken(m, deltas, schedule):
         raise RuntimeError("not a closed-form mismatch")
 
-    monkeypatch.setattr(analysis, "stability_matrix_numeric", broken)
+    monkeypatch.setattr(analysis, "stability_numeric", broken)
     with pytest.raises(RuntimeError, match="not a closed-form mismatch"):
         run_cli("stability", "--alpha1", "2/5", "--m", "20", "--deltas", "1e-4")
+
+
+def _count_calls(monkeypatch, module, *names):
+    """Wrap the functions ``names`` of ``module`` to count their calls, all
+    in one counter; return the counter, a one-element list."""
+    count = [0]
+    for name in names:
+        def counted(*args, _real=getattr(module, name)):
+            count[0] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    return count
+
+
+def test_stability_runs_each_trajectory_once(monkeypatch, capsys):
+    # one unperturbed and one perturbed run per delta, each to step 2m + 2,
+    # and the orbit closure checked by the CLI and by the analysis only
+    runs = []
+    real_iterate = engine.iterate
+
+    def iterate(seq, state, n_steps):
+        runs.append(n_steps)
+        return real_iterate(seq, state, n_steps)
+
+    monkeypatch.setattr(engine, "iterate", iterate)
+    gates = _count_calls(monkeypatch, engine, "apply_head_rotation", "apply_qcnot")
+    orbit_checks = _count_calls(monkeypatch, oracle, "orbit_conditions")
+    assert run_cli("stability", "--alpha1", "2/5", "--m", "20",
+                   "--deltas", "1e-4,1e-5,1e-6") == 0
+    assert len(json.loads(capsys.readouterr().out)["results"]) == 3
+    assert runs == [42, 42, 42, 42]
+    assert gates[0] == 168
+    assert orbit_checks[0] <= 2
+
+
+@pytest.mark.parametrize("m", ["-5", "0"])
+def test_stability_rejects_m_below_one(capsys, m):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("stability", "--alpha1", "2/5", "--m", m)
+    assert exc.value.code == 2
+    assert capsys.readouterr() == ("", "error: --m must be >= 1\n")
 
 
 # --- oracle-check -----------------------------------------------------------------------
@@ -307,6 +349,26 @@ def test_lyapunov_checks_fit_window_before_the_trace(monkeypatch, capsys, lo, hi
     assert run_cli("lyapunov", "--alpha1", "2/5", "--steps", "200000",
                    "--fit-lo", lo, "--fit-hi", hi) == 2
     assert capsys.readouterr().err.startswith("error: fit window ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--alpha1", "2/5", "--delta", "1e-8"],
+    ["--alpha1", "0.7", "--mode", "arithmetic", "--subsystem", "network",
+     "--delta", "1e-6", "--fit-lo", "3", "--fit-hi", "12"],
+], ids=["fibonacci-head", "arithmetic-network"])
+def test_lyapunov_traces_only_the_fit_window(tmp_path, monkeypatch, capsys, argv):
+    # the fit reads d2 up to step 2 * fit_hi, so a longer --steps adds no
+    # gate and leaves the report as it is; the manifest keeps --steps
+    fit_hi = int(argv[argv.index("--fit-hi") + 1]) if "--fit-hi" in argv else 15
+    assert run_cli("lyapunov", *argv, "--steps", str(2 * fit_hi)) == 0
+    short = capsys.readouterr().out
+    gates = _count_calls(monkeypatch, engine, "apply_head_rotation", "apply_qcnot")
+    out = tmp_path / "rate.json"
+    assert run_cli("lyapunov", *argv, "--steps", "1000000", "--out", str(out)) == 0
+    assert gates[0] <= 2 * (2 * fit_hi)  # two trajectories, unperturbed and perturbed
+    assert out.read_text() == short
+    manifest = json.loads((tmp_path / "rate.json.manifest.json").read_text())
+    assert manifest["config"]["steps"] == 1000000
 
 
 # --- global flag handling ------------------------------------------------------------------

@@ -8,10 +8,8 @@ from hypothesis import strategies as st
 from qturing import engine, oracle
 from qturing.engine import Spin, TapeState
 from qturing.oracle import (
-    PrimitiveBranch,
     SuperpositionWeights,
     delta_c,
-    head_bloch_primitive,
     head_bloch_superposed,
     orbit_conditions,
     periodic_orbit_check,
@@ -23,6 +21,12 @@ from qturing.oracle import (
 from qturing.schedule import TWO_PI, AngleSequence, ScheduleConfig, ScheduleMode, fib
 
 EQUAL_WEIGHTS = SuperpositionWeights(1 / math.sqrt(2), 1 / math.sqrt(2))
+
+#: unit weights select one entanglement-free tape branch, |+> or |-> of sigma1
+UNIT_WEIGHTS = {
+    "plus": SuperpositionWeights(1.0, 0.0),
+    "minus": SuperpositionWeights(0.0, 1.0),
+}
 
 
 def fib_seq(alpha1, delta=0.0):
@@ -38,32 +42,32 @@ def circ_dist(a, b):
 
 def test_primitive_initial_point():
     seq = fib_seq(0.3)
-    for branch in PrimitiveBranch:
-        assert head_bloch_primitive(seq, branch, 0) == pytest.approx((0, 0, -1))
+    for weights in UNIT_WEIGHTS.values():
+        assert head_bloch_superposed(seq, weights, 0) == pytest.approx((0, 0, -1))
 
 
 def test_primitive_plus_quarter_turn():
-    b = head_bloch_primitive(fib_seq(math.pi / 2), PrimitiveBranch.PLUS, 2)
+    b = head_bloch_superposed(fib_seq(math.pi / 2), UNIT_WEIGHTS["plus"], 2)
     np.testing.assert_allclose(b, (0.0, 1.0, 0.0), atol=1e-15)
 
 
 def test_primitive_minus_quarter_turn():
-    b = head_bloch_primitive(fib_seq(math.pi / 2), PrimitiveBranch.MINUS, 2)
+    b = head_bloch_superposed(fib_seq(math.pi / 2), UNIT_WEIGHTS["minus"], 2)
     np.testing.assert_allclose(b, (0.0, -1.0, 0.0), atol=1e-15)
 
 
 def test_primitive_odd_step_equals_following_even_step_on_plus_branch():
     seq = fib_seq(0.7)
     for m in range(1, 30):
-        odd = head_bloch_primitive(seq, PrimitiveBranch.PLUS, 2 * m - 1)
-        even = head_bloch_primitive(seq, PrimitiveBranch.PLUS, 2 * m)
+        odd = head_bloch_superposed(seq, UNIT_WEIGHTS["plus"], 2 * m - 1)
+        even = head_bloch_superposed(seq, UNIT_WEIGHTS["plus"], 2 * m)
         np.testing.assert_allclose(odd, even, atol=1e-12)
 
 
 @pytest.mark.parametrize("phi0", [0.0, 0.7])
 @pytest.mark.parametrize(
     "tape,branch",
-    [(TapeState.PLUS, PrimitiveBranch.PLUS), (TapeState.MINUS, PrimitiveBranch.MINUS)],
+    [(TapeState.PLUS, "plus"), (TapeState.MINUS, "minus")],
 )
 def test_primitive_matches_simulation(phi0, tape, branch):
     seq = fib_seq(0.3)
@@ -71,7 +75,7 @@ def test_primitive_matches_simulation(phi0, tape, branch):
     worst = 0.0
     for n, st in engine.iterate(seq, state, 2000):
         sim = engine.bloch_vector(engine.reduce_spin(st, Spin.HEAD))
-        pred = head_bloch_primitive(seq, branch, n, head_angle=phi0)
+        pred = head_bloch_superposed(seq, UNIT_WEIGHTS[branch], n, head_angle=phi0)
         worst = max(worst, *(abs(a - b) for a, b in zip(sim, pred)))
     assert worst < 1e-9
 
@@ -82,9 +86,11 @@ def test_superposed_degenerate_weights():
     seq = fib_seq(0.9)
     lone = SuperpositionWeights(1.0, 0.0)
     for n in (0, 1, 5, 8):
+        # the plus branch alone sits at (0, sin C, -cos C), C = C_plus(n)
+        c = seq.cumulative_plus((n + 1) // 2)
         np.testing.assert_allclose(
             head_bloch_superposed(seq, lone, n),
-            head_bloch_primitive(seq, PrimitiveBranch.PLUS, n),
+            (0.0, math.sin(c), -math.cos(c)),
             atol=1e-15,
         )
 
@@ -152,15 +158,6 @@ def test_tape_sigma3_matches_simulation(delta):
         sim = engine.bloch_vector(engine.reduce_spin(st, Spin.TAPE))
         assert abs(sim.s3 - tape_sigma3(seq, n)) < 1e-10
         assert abs(sim.s1) < 1e-12 and abs(sim.s2) < 1e-12
-
-
-def test_tape_sigma3_explicit_delta_argument():
-    base = fib_seq(0.3)
-    seeded = fib_seq(0.3, delta=0.01)
-    for n in range(0, 60):
-        assert tape_sigma3(base, n, delta=0.01) == pytest.approx(
-            tape_sigma3(seeded, n), abs=1e-12
-        )
 
 
 def test_tape_sigma3_rejects_other_modes():
