@@ -1,11 +1,10 @@
 """Paired-trajectory experiments: distance traces, divergence rates,
 finite-difference stability factors.
 
-A perturbation delta acts on both the initial head preparation and the
-schedule seed (a_0 = delta): the two are the same physical dial, so the
-perturbed run evolves under a genuinely different gate sequence.  Set
-``perturb_schedule=False`` to perturb the state only, for comparison
-experiments.
+A paired run reads its perturbation delta from ``schedule.delta``, which
+acts on both the initial head preparation and the schedule seed
+(a_0 = delta): the same physical dial, so the perturbed run evolves under a
+genuinely different gate sequence.
 
 Everything is deterministic; identical configurations produce bit-identical
 traces.  Each experiment is an independent pure computation.
@@ -38,19 +37,19 @@ class TrajectoryRecord(NamedTuple):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A paired run; its perturbation delta is ``schedule.delta``."""
+
     schedule: ScheduleConfig
-    delta: float
     steps: int
     subsystem: Subsystem
     record_every: int = 1
-    perturb_schedule: bool = True
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "subsystem", Subsystem(self.subsystem))
         if self.steps < 2:
             raise ValueError(f"steps must be >= 2, got {self.steps}")
-        if self.delta < 0.0:
-            raise ValueError(f"delta must be >= 0, got {self.delta}")
+        if self.schedule.delta < 0.0:
+            raise ValueError(f"delta must be >= 0, got {self.schedule.delta}")
         if self.record_every < 1:
             raise ValueError(f"record_every must be >= 1, got {self.record_every}")
 
@@ -103,14 +102,13 @@ def distance_rows(cfg: ExperimentConfig) -> Iterator[tuple[int, float, float]]:
     every ``record_every`` steps and at the last step.
 
     Trajectory A starts from |-1, -1> under the unperturbed schedule;
-    trajectory B starts with the head rotated by delta and (by default) the
-    schedule re-seeded with a_0 = delta.
+    trajectory B starts with the head rotated by delta = ``schedule.delta``
+    under the schedule re-seeded with a_0 = delta.
     """
     seq_a = AngleSequence(replace(cfg.schedule, delta=0.0))
-    delta_b = cfg.delta if cfg.perturb_schedule else 0.0
-    seq_b = AngleSequence(replace(cfg.schedule, delta=delta_b))
+    seq_b = AngleSequence(cfg.schedule)
     state_a = engine.init_state(0.0)
-    state_b = engine.init_state(cfg.delta)
+    state_b = engine.init_state(cfg.schedule.delta)
 
     spin = _SPIN[cfg.subsystem]
     yield (0, *engine.pair_metrics(state_a, state_b, spin))
@@ -188,6 +186,16 @@ class ClosedFormMismatch(RuntimeError):
     """A simulated stability factor disagrees with its closed form."""
 
 
+class NoPeriodicOrbit(ValueError):
+    """alpha1 = (p/q)*pi closes no periodic orbit at cycle m; ``conditions``
+    are the three closure conditions of ``oracle.orbit_conditions``."""
+
+    def __init__(self, p: int, q: int, m: int, conditions: list[bool]) -> None:
+        super().__init__(f"no periodic orbit of period {2 * m} at alpha1 = ({p}/{q})*pi: "
+                         f"closure conditions {conditions}")
+        self.p, self.q, self.conditions = p, q, conditions
+
+
 @dataclass(frozen=True)
 class StabilityResult:
     delta: float
@@ -215,28 +223,29 @@ def stability_numeric(
 ) -> list[StabilityResult]:
     """Orbit stability factors from simulation, one result per delta.
 
-    Checks once that alpha1 is an exact p/q of pi and that cycle m >= 1
-    closes a periodic orbit, then runs the unperturbed trajectory once and
-    each delta-perturbed one once, to step 2m + 2.  M11 and M22 are the
-    in-plane head components at step 2m over their initial values; each
-    must agree with its finite-delta closed form to 1e-8 relative, or
-    ClosedFormMismatch is raised.  The tape factor is the response ratio
-    delta sigma3(2m+2) / delta sigma3(2), which converges to
+    Checks every input before the first run: alpha1 must be an exact p/q
+    of pi, m >= 1, every delta in (0, 0.1], and cycle m must close a
+    periodic orbit (NoPeriodicOrbit otherwise).  Then runs the unperturbed
+    trajectory once and each delta-perturbed one once, to step 2m + 2.
+    M11 and M22 are the in-plane head components at step 2m over their
+    initial values; each must agree with its finite-delta closed form to
+    1e-8 relative, or ClosedFormMismatch is raised.  The tape factor is the
+    response ratio delta sigma3(2m+2) / delta sigma3(2), which converges to
     F_{m+1} sin(a_{m+2}) / sin(a_1) as delta -> 0; it is None where
-    ``oracle.tape_factor_undefined`` gives a reason.  The deltas are taken
-    in order, each checked to lie in (0, 0.1] just before its run.
+    ``oracle.tape_factor_undefined`` gives a reason.
     """
     if schedule.exact is None:
-        raise ValueError("stability factors need alpha1 declared as an exact p/q of pi")
+        raise ValueError("stability requires alpha1 as an exact p/q of pi")
     if m < 1:
         raise ValueError(f"cycle index must be >= 1, got {m}")
+    deltas = list(deltas)
+    for delta in deltas:
+        if not 0.0 < delta <= 0.1:
+            raise ValueError(f"delta must lie in (0, 0.1], got {delta}")
     p, q = schedule.exact
-    conds = oracle.orbit_conditions(p, q, m)
+    conds = list(oracle.orbit_conditions(p, q, m))
     if not all(conds):
-        raise ValueError(
-            f"no periodic orbit of period {2 * m} at alpha1 = ({p}/{q})*pi: "
-            f"closure conditions {conds}"
-        )
+        raise NoPeriodicOrbit(p, q, m, conds)
     closure, tape_2a, tape_end_a = _orbit_run(schedule, m, 0.0)
     if abs(closure.s2) > 1e-8 or abs(closure.s3 + 1.0) > 1e-8:
         raise ValueError(f"orbit fails to close after {2 * m} steps: {closure}")
@@ -244,8 +253,6 @@ def stability_numeric(
 
     results = []
     for delta in deltas:
-        if not 0.0 < delta <= 0.1:
-            raise ValueError(f"delta must lie in (0, 0.1], got {delta}")
         head, tape_2b, tape_end_b = _orbit_run(schedule, m, delta)
         m11 = head.s2 / math.sin(delta)
         m22 = head.s3 / (-math.cos(delta))

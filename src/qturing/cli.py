@@ -40,6 +40,9 @@ _NEGATIVE_RE = re.compile(r"^-(\.?\d|inf|nan)", re.IGNORECASE)
 #: CSV rows joined per write while an output streams to disk
 _CHUNK_ROWS = 4096
 
+#: smallest --steps where it is not 1: a paired trace (ExperimentConfig) needs two
+_MIN_STEPS = {"distance": 2, "lyapunov": 2}
+
 
 def parse_alpha1(spec: str, mode: ScheduleMode, delta: float) -> ScheduleConfig:
     """Build a schedule config from an alpha1 spec: float or exact 'p/q' of pi."""
@@ -154,7 +157,6 @@ def cmd_distance(args: argparse.Namespace) -> int:
     schedule = parse_alpha1(args.alpha1, ScheduleMode(args.mode), args.delta)
     cfg = ExperimentConfig(
         schedule=schedule,
-        delta=args.delta,
         steps=args.steps,
         subsystem=Subsystem(args.subsystem),
         record_every=args.record_every,
@@ -178,33 +180,23 @@ def cmd_stability(args: argparse.Namespace) -> int:
         "m": args.m,
         "deltas": args.deltas,
     }
-    if schedule.exact is None:
-        raise ValueError("stability requires alpha1 as an exact p/q of pi")
-    p, q = schedule.exact
-    conditions = list(oracle.orbit_conditions(p, q, args.m))
-    if not all(conditions):
-        report = {
-            "error": "not a periodic orbit",
-            "alpha1": {"p": p, "q": q},
-            "m": args.m,
-            "conditions": conditions,
-        }
-        _emit_report(report, args.out, "stability", config)
-        print(
-            f"error: no periodic orbit of period {2 * args.m} at alpha1 = ({p}/{q})*pi: "
-            f"closure conditions {conditions}",
-            file=sys.stderr,
-        )
-        return 2
-
-    seq = AngleSequence(schedule)
-    tape_defined = oracle.tape_factor_undefined(args.m, schedule) is None
-    limits = oracle.stability_limits(args.m, seq if tape_defined else None)
     try:
         found = analysis.stability_numeric(args.m, args.deltas, schedule)
     except analysis.ClosedFormMismatch as exc:  # a check failure, not a usage error
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except analysis.NoPeriodicOrbit as exc:  # reported, then a usage error in main
+        report = {
+            "error": "not a periodic orbit",
+            "alpha1": {"p": exc.p, "q": exc.q},
+            "m": args.m,
+            "conditions": exc.conditions,
+        }
+        _emit_report(report, args.out, "stability", config)
+        raise
+    p, q = schedule.exact
+    seq = AngleSequence(schedule) if found[0].tape is not None else None  # tape limit wanted
+    limits = oracle.stability_limits(args.m, seq)
     results = []
     for res in found:
         row = {
@@ -278,7 +270,6 @@ def cmd_lyapunov(args: argparse.Namespace) -> int:
     schedule = parse_alpha1(args.alpha1, ScheduleMode(args.mode), args.delta)
     cfg = ExperimentConfig(
         schedule=schedule,
-        delta=args.delta,
         # the fit reads d2 at steps 2 * fit_lo ... 2 * fit_hi only
         steps=min(args.steps, max(2, 2 * args.fit_hi)),
         subsystem=Subsystem(args.subsystem),
@@ -338,20 +329,23 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(
-        sp: argparse.ArgumentParser, *, delta_default: float, out_required: bool = False
-    ) -> None:
+        name: str, help: str, *, delta_default: float, out_required: bool = False
+    ) -> argparse.ArgumentParser:
+        sp = sub.add_parser(name, help=help)
         sp.add_argument("--alpha1", required=True,
                         help="first rotation angle: float, or p/q meaning (p/q)*pi exactly")
         sp.add_argument("--delta", type=float, default=delta_default,
                         help="seed/preparation perturbation (default %(default)s)")
-        sp.add_argument("--steps", type=int, default=200,
-                        help="number of gates to apply (default %(default)s)")
+        sp.add_argument("--steps", type=int, default=200, help=f"number of gates to apply, "
+                        f"{_MIN_STEPS.get(name, 1)} to 1e6 (default %(default)s)")
         sp.add_argument("--out", required=out_required,
                         help="output path" + ("" if out_required else " (default: report to stdout)"))
+        return sp
 
     sp = sub.add_parser("pattern", help="head Bloch scatter of a single trajectory")
     sp.add_argument("--alpha1", required=True)
-    sp.add_argument("--steps", type=int, default=10000)
+    sp.add_argument("--steps", type=int, default=10000,
+                    help="number of gates to apply, 1 to 1e6 (default %(default)s)")
     sp.add_argument("--mode", choices=[m.value for m in ScheduleMode],
                     default=ScheduleMode.FIBONACCI.value)
     sp.add_argument("--head-angle", type=float, default=0.0)
@@ -361,8 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", required=True, help="output CSV path")
     sp.set_defaults(func=cmd_pattern)
 
-    sp = sub.add_parser("distance", help="distance trace between paired trajectories")
-    add_common(sp, delta_default=0.001, out_required=True)
+    sp = add_common("distance", "distance trace between paired trajectories",
+                    delta_default=0.001, out_required=True)
     sp.add_argument("--mode", choices=[m.value for m in ScheduleMode],
                     default=ScheduleMode.FIBONACCI.value)
     sp.add_argument("--subsystem", choices=[s.value for s in Subsystem],
@@ -372,20 +366,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("stability", help="periodic-orbit stability report")
     sp.add_argument("--alpha1", required=True, help="exact p/q of pi")
-    sp.add_argument("--m", type=int, required=True, help="cycle count; period is 2m")
+    sp.add_argument("--m", type=int, required=True,
+                    help=f"cycle count, 1 to {oracle.MAX_CYCLE}; period is 2m")
     sp.add_argument("--deltas", type=_parse_deltas, default=[1e-4, 1e-5, 1e-6],
-                    help="comma-separated perturbations (default 1e-4,1e-5,1e-6)")
+                    help="comma-separated perturbations, each in (0, 0.1] "
+                    "(default 1e-4,1e-5,1e-6)")
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_stability)
 
-    sp = sub.add_parser("oracle-check", help="simulation vs closed-form comparison")
-    add_common(sp, delta_default=0.0)
+    sp = add_common("oracle-check", "simulation vs closed-form comparison", delta_default=0.0)
     sp.set_defaults(steps=2000)
     sp.add_argument("--tolerance", type=float, default=1e-9)
     sp.set_defaults(func=cmd_oracle_check)
 
-    sp = sub.add_parser("lyapunov", help="divergence-rate fit")
-    add_common(sp, delta_default=1e-8)
+    sp = add_common("lyapunov", "divergence-rate fit", delta_default=1e-8)
     sp.add_argument("--mode", choices=[m.value for m in ScheduleMode],
                     default=ScheduleMode.FIBONACCI.value)
     sp.add_argument("--subsystem", choices=[s.value for s in Subsystem],
@@ -400,18 +394,24 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "steps", 1) < 1:
-        parser.error("--steps must be >= 1")
-    if getattr(args, "steps", 0) > 10**6:
-        parser.error("--steps must be <= 1e6")
-    if getattr(args, "m", 1) < 1:
-        parser.error("--m must be >= 1")
+    # every bounded option is checked once, before any work, and fails through
+    # parser.error as argparse's own errors do: one error: line and exit 2
+    opt = vars(args).get
+    low = _MIN_STEPS.get(args.command, 1)
+    for flag, bad, rule in [  # (option, value out of range, rule); NaN is out of range
+        ("--steps", opt("steps", low) < low, f"must be >= {low}"),
+        ("--steps", opt("steps", 0) > 10**6, "must be <= 1e6"),
+        ("--m", opt("m", 1) < 1, "must be >= 1"),
+        ("--m", opt("m", 0) > oracle.MAX_CYCLE, f"must be <= {oracle.MAX_CYCLE}"),
+        ("--record-every", opt("record_every", 1) < 1, "must be >= 1"),
+        ("--tolerance", not 0.0 <= opt("tolerance", 0.0) < math.inf,
+         f"must be finite and >= 0, got {opt('tolerance')}"),
+        *(("--deltas", not 0.0 < d <= 0.1, f"values must lie in (0, 0.1], got {d}")
+          for d in opt("deltas", ())),
+    ]:
+        if bad:
+            parser.error(f"{flag} {rule}")
     try:
-        if getattr(args, "record_every", 1) < 1:
-            raise ValueError("--record-every must be >= 1")
-        tolerance = getattr(args, "tolerance", 0.0)
-        if not 0.0 <= tolerance < math.inf:  # false for NaN as well
-            raise ValueError(f"--tolerance must be finite and >= 0, got {tolerance}")
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

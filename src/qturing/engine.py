@@ -114,13 +114,6 @@ def iterate(seq: AngleSequence, state: State, n_steps: int) -> Iterator[tuple[in
         yield n, state
 
 
-def run(seq: AngleSequence, state: State, n_steps: int) -> State:
-    """State after n_steps alternating gates (n_steps = 0 returns the input)."""
-    for _, state in iterate(seq, state, n_steps):
-        pass
-    return state
-
-
 def reduce_spin(state: State, spin: Spin | str) -> Matrix2:
     """2x2 reduced density matrix of one spin (partial trace over the other).
 
@@ -218,8 +211,3 @@ def pair_metrics(
 def overlap_sq(psi_a: State, psi_b: State) -> float:
     """Squared overlap |<psi_b|psi_a>|^2 of two normalized state vectors."""
     return abs(sum(b.conjugate() * a for a, b in zip(psi_a, psi_b))) ** 2
-
-
-def norm_sq(state: State) -> float:
-    """Squared norm of a state vector."""
-    return sum(c.real * c.real + c.imag * c.imag for c in state)

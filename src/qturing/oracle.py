@@ -31,6 +31,9 @@ _TWO_PI = Fraction("6.283185307179586476925286766559005768394")
 #: precision products; larger requests are rejected rather than degraded
 _MAX_FIB_INDEX = 90
 
+#: largest cycle index m that ``stability_limits`` accepts: it reads F_{m+2}
+MAX_CYCLE = _MAX_FIB_INDEX - 2
+
 
 @dataclass(frozen=True)
 class SuperpositionWeights:

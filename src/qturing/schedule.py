@@ -102,6 +102,8 @@ class ScheduleConfig:
             p, q = self.exact
             if q < 1:
                 raise ValueError(f"exact denominator must be >= 1, got {q}")
+            if q > 2**1020:  # angles are pi * r / q with r < 2q: pi * 2q must be finite
+                raise ValueError(f"exact denominator must be <= 2**1020, got {q.bit_length()} bits")
             if math.gcd(p, q) != 1:
                 raise ValueError(f"exact pair must be coprime, got ({p}, {q})")
             declared = (p / q) * math.pi

@@ -5,6 +5,7 @@ import pytest
 
 from qturing.analysis import (
     ExperimentConfig,
+    NoPeriodicOrbit,
     Subsystem,
     distance_rows,
     distance_trace,
@@ -28,9 +29,7 @@ TWO_FIFTHS_PI = ScheduleConfig.exact_pi(2, 5)
 
 def experiment(mode, delta, steps, subsystem, alpha1_exact=(2, 5), **kw):
     schedule = ScheduleConfig.exact_pi(*alpha1_exact, mode=mode, delta=delta)
-    return ExperimentConfig(
-        schedule=schedule, delta=delta, steps=steps, subsystem=subsystem, **kw
-    )
+    return ExperimentConfig(schedule=schedule, steps=steps, subsystem=subsystem, **kw)
 
 
 # --- distance traces -----------------------------------------------------------
@@ -102,16 +101,6 @@ def test_record_every_keeps_final_step():
     full = distance_trace(experiment(ScheduleMode.FIBONACCI, 0.001, 105, Subsystem.HEAD))
     assert list(thin.steps) == [*range(0, 101, 10), 105]
     assert thin.d2_at(105) == full.d2_at(105)
-
-
-def test_state_only_perturbation_flag():
-    # without schedule re-seeding the gate sequences coincide and the
-    # network distance is exactly conserved
-    cfg = experiment(
-        ScheduleMode.FIBONACCI, 0.001, 200, Subsystem.NETWORK, perturb_schedule=False
-    )
-    d2 = np.asarray(distance_trace(cfg).d2)
-    assert np.abs(d2 - d2[0]).max() < 1e-10
 
 
 def test_trace_lookup_helpers():
@@ -254,8 +243,9 @@ def test_stability_matrix_converges_to_limits():
 
 
 def test_stability_matrix_rejects_off_orbit_cycles():
-    with pytest.raises(ValueError):
+    with pytest.raises(NoPeriodicOrbit) as exc:
         stability_numeric(19, [1e-6], TWO_FIFTHS_PI)
+    assert exc.value.conditions == [True, True, False]  # what the CLI reports
 
 
 def test_stability_matrix_rejects_inexact_angle():
@@ -267,6 +257,17 @@ def test_stability_matrix_rejects_inexact_angle():
 def test_stability_matrix_rejects_bad_delta():
     with pytest.raises(ValueError):
         stability_numeric(20, [0.0], TWO_FIFTHS_PI)
+
+
+def test_stability_checks_every_delta_before_the_first_run(monkeypatch):
+    # at 1/2 and m = 60 the first delta fails its closed form: checked one
+    # by one, the bad second delta would be reported as that mismatch
+    def no_run(*args):
+        raise AssertionError("a trajectory ran before every delta was checked")
+
+    monkeypatch.setattr(engine, "iterate", no_run)
+    with pytest.raises(ValueError, match="delta must lie in"):
+        stability_numeric(60, [1e-4, 0.5], ScheduleConfig.exact_pi(1, 2))
 
 
 def test_tape_stability_matches_closed_difference_quotient():

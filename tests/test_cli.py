@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from qturing import analysis, engine, oracle
 from qturing.cli import main, parse_alpha1
-from qturing.schedule import ScheduleMode
+from qturing.schedule import ScheduleMode, fib
 
 
 def read_csv(path):
@@ -262,8 +262,9 @@ def _count_calls(monkeypatch, module, *names):
 
 
 def test_stability_runs_each_trajectory_once(monkeypatch, capsys):
-    # one unperturbed and one perturbed run per delta, each to step 2m + 2,
-    # and the orbit closure checked by the CLI and by the analysis only
+    # one unperturbed and one perturbed run per delta, each to step 2m + 2;
+    # the analysis checks the orbit closure once, and the tape factor's
+    # definition is read once by the analysis and once for the limits
     runs = []
     real_iterate = engine.iterate
 
@@ -274,12 +275,14 @@ def test_stability_runs_each_trajectory_once(monkeypatch, capsys):
     monkeypatch.setattr(engine, "iterate", iterate)
     gates = _count_calls(monkeypatch, engine, "apply_head_rotation", "apply_qcnot")
     orbit_checks = _count_calls(monkeypatch, oracle, "orbit_conditions")
+    tape_checks = _count_calls(monkeypatch, oracle, "tape_factor_undefined")
     assert run_cli("stability", "--alpha1", "2/5", "--m", "20",
                    "--deltas", "1e-4,1e-5,1e-6") == 0
     assert len(json.loads(capsys.readouterr().out)["results"]) == 3
     assert runs == [42, 42, 42, 42]
     assert gates[0] == 168
-    assert orbit_checks[0] <= 2
+    assert orbit_checks[0] == 1
+    assert tape_checks[0] <= 2
 
 
 @pytest.mark.parametrize("m", ["-5", "0"])
@@ -288,6 +291,29 @@ def test_stability_rejects_m_below_one(capsys, m):
         run_cli("stability", "--alpha1", "2/5", "--m", m)
     assert exc.value.code == 2
     assert capsys.readouterr() == ("", "error: --m must be >= 1\n")
+
+
+def test_stability_m_above_the_fibonacci_cap_names_the_flag(capsys):
+    # the CLI's bound is the oracle's cap: limits exist up to MAX_CYCLE, not past it
+    cap = oracle.MAX_CYCLE
+    assert oracle.stability_limits(cap).m11 == fib(cap - 1)
+    with pytest.raises(ValueError):
+        oracle.stability_limits(cap + 1)
+    err = assert_argv_error(capsys, "stability", "--alpha1", "0/1", "--m", str(cap + 1))
+    assert err == f"error: --m must be <= {cap}\n"
+
+
+@pytest.mark.parametrize("deltas", ["1e-4,0.5", "0.5,1e-4", "1e-4,1e-5,nan", "0"])
+def test_stability_invalid_delta_stops_before_any_run(monkeypatch, capsys, deltas):
+    # at 1/2 and m = 60 the first delta fails its closed form, so a late
+    # check would report that mismatch (exit 1) instead of the bad delta
+    def no_run(*args):
+        raise AssertionError("a trajectory ran before every delta was checked")
+
+    monkeypatch.setattr(engine, "iterate", no_run)
+    err = assert_argv_error(capsys, "stability", "--alpha1", "1/2", "--m", "60",
+                            "--deltas", deltas)
+    assert err.startswith("error: --deltas values must lie in (0, 0.1], got ")
 
 
 # --- oracle-check -----------------------------------------------------------------------
@@ -396,18 +422,64 @@ def assert_usage_error(capsys, *argv):
     assert captured.err.count("\n") == 1
 
 
+def assert_argv_error(capsys, *argv):
+    """An option value out of range: SystemExit(2) from the parser, nothing
+    on stdout and one error: line on stderr, which is returned."""
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    return captured.err
+
+
 @pytest.mark.parametrize("tolerance", ["nan", "inf", "-0.5", "-1e-9"])
 def test_oracle_check_rejects_bad_tolerance(capsys, tolerance):
-    assert_usage_error(capsys, "oracle-check", "--alpha1", "0.3", "--steps", "10",
-                       "--tolerance", tolerance)
+    assert_argv_error(capsys, "oracle-check", "--alpha1", "0.3", "--steps", "10",
+                      "--tolerance", tolerance)
 
 
 @pytest.mark.parametrize("command", ["pattern", "distance"])
 def test_record_every_zero_rejected(tmp_path, capsys, command):
     out = tmp_path / "x.csv"
-    assert_usage_error(capsys, command, "--alpha1", "0.3", "--steps", "10",
-                       "--record-every", "0", "--out", str(out))
+    assert_argv_error(capsys, command, "--alpha1", "0.3", "--steps", "10",
+                      "--record-every", "0", "--out", str(out))
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["distance", "lyapunov"])
+def test_paired_commands_need_two_steps(tmp_path, capsys, command):
+    # a paired trace needs two steps: the line names the flag, before any work
+    err = assert_argv_error(capsys, command, "--alpha1", "2/5", "--steps", "1",
+                            "--out", str(tmp_path / "x.csv"))
+    assert err == "error: --steps must be >= 2\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["oracle-check", "--alpha1", "1/1" + "0" * 400, "--steps", "10"],
+    ["pattern", "--alpha1", "1/1" + "0" * 400, "--steps", "10", "--out", "{out}"],
+    ["distance", "--alpha1", "1/1" + "0" * 400, "--steps", "10", "--out", "{out}"],
+    ["lyapunov", "--alpha1", "1/1" + "0" * 400, "--steps", "60"],
+    ["pattern", "--alpha1", "1/5" + "0" * 307, "--steps", "4000", "--out", "{out}"],
+], ids=["oracle-check-1e400", "pattern-1e400", "distance-1e400", "lyapunov-1e400",
+        "pattern-5e307"])
+def test_exact_denominator_beyond_double_range_is_usage_error(tmp_path, capsys, argv):
+    # pi * 2q must be a finite double, or the angles overflow or turn NaN
+    args = [a.replace("{out}", str(tmp_path / "out.csv")) for a in argv]
+    assert_usage_error(capsys, *args)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_help_states_the_bounds(capsys):
+    for command, bounds in [("stability", [f"1 to {oracle.MAX_CYCLE}", "(0, 0.1]"]),
+                            ("distance", ["2 to 1e6"]), ("pattern", ["1 to 1e6"])]:
+        with pytest.raises(SystemExit):
+            run_cli(command, "--help")
+        text = " ".join(capsys.readouterr().out.split())
+        assert all(b in text for b in bounds), (command, text)
 
 
 @pytest.mark.parametrize("argv", [
@@ -593,7 +665,7 @@ def test_streamed_distance_matches_collected_trace(tmp_path):
                    "--subsystem", "network", "--out", str(out)) == 0
     cfg = analysis.ExperimentConfig(
         schedule=parse_alpha1("2/5", ScheduleMode.FIBONACCI, 0.001),
-        delta=0.001, steps=9001, subsystem="network")
+        steps=9001, subsystem="network")
     trace = analysis.distance_trace(cfg)
     lines = ["n,d2,overlap"] + [
         f"{n},{d2:.17g},{ov:.17g}" for n, d2, ov in zip(trace.steps, trace.d2, trace.overlap)

@@ -1,9 +1,11 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from reference import norm_sq, run
 
 from qturing import engine
 from qturing.engine import (
@@ -20,11 +22,9 @@ from qturing.engine import (
     distance_sq,
     init_state,
     iterate,
-    norm_sq,
     overlap_sq,
     pair_metrics,
     reduce_spin,
-    run,
     spin_bloch,
 )
 from qturing.schedule import AngleSequence, ScheduleConfig, ScheduleMode
@@ -385,13 +385,27 @@ def test_pair_metrics_match_density_matrix_route(sa, sb):
 
 @settings(max_examples=100, deadline=None)
 @given(state=state_strategy)
+@example(state=random_states([0.0, 0.0, 1e-6, 0.0, 1e-6, 0.7460571454963776, 1e-6, 1e-6]))
 def test_pair_metrics_vanish_for_identical_states(state):
     for spin in (Spin.HEAD, Spin.TAPE, "head", "tape"):
         assert pair_metrics(state, state, spin)[0] == 0.0
     d2, ov = pair_metrics(state, state)
-    # the network distance is 2 (1 - |<a|a>|^2): zero up to the rounding of the norm
-    assert abs(ov - 1.0) <= 1e-15
+    # the network distance is 2 (1 - |<a|a>|^2): zero up to the rounding of the
+    # norm, so ov is held to the exact |<a|a>|^2 of the drawn, already rounded
+    # state, not to 1.0
+    exact = sum(Fraction(c.real) ** 2 + Fraction(c.imag) ** 2 for c in state) ** 2
+    assert abs(Fraction(ov) - exact) <= 4 * math.ulp(float(exact))
     assert d2 == 2.0 * (1.0 - ov)
+
+
+def test_one_schedule_keeps_network_overlap():
+    # two initial states driven by the same gate sequence: the network
+    # overlap is conserved, whatever the states
+    seq = AngleSequence(ScheduleConfig.exact_pi(2, 5))
+    a, b = init_state(0.0), init_state(0.001)
+    ov0 = pair_metrics(a, b)[1]
+    for (_, sa), (_, sb) in zip(iterate(seq, a, 200), iterate(seq, b, 200)):
+        assert abs(pair_metrics(sa, sb)[1] - ov0) < 1e-10
 
 
 def test_pair_metrics_tape_is_not_head():

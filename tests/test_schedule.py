@@ -338,6 +338,17 @@ def test_config_rejects_bad_exact_pairs():
         ScheduleConfig(ScheduleMode.FIBONACCI, 0.3, exact=(2, 5))
 
 
+def test_exact_denominator_must_keep_angles_finite():
+    # every angle is pi * r / q with r < 2q, so pi * 2q must be a finite double
+    q = 2**1020
+    seq = AngleSequence(ScheduleConfig.exact_pi(2 * q - 1, q))
+    assert all(math.isfinite(seq.angle(m)) for m in range(1, 200))
+    assert all(math.isfinite(seq.cumulative_minus(n)) for n in range(400))
+    for big in (q + 1, 5 * 10**307, 10**400):
+        with pytest.raises(ValueError, match=r"exact denominator must be <= 2\*\*1020"):
+            ScheduleConfig.exact_pi(1, big)
+
+
 def test_exact_pi_normalizes():
     assert ScheduleConfig.exact_pi(4, 10).exact == (2, 5)
     assert ScheduleConfig.exact_pi(12, 5).exact == (2, 5)
