@@ -40,7 +40,8 @@ _NEGATIVE_RE = re.compile(r"^-(\.?\d|inf|nan)", re.IGNORECASE)
 #: CSV rows joined per write while an output streams to disk
 _CHUNK_ROWS = 4096
 
-#: smallest --steps where it is not 1: a paired trace (ExperimentConfig) needs two
+#: smallest --steps of the paired-trace commands, 1 elsewhere; their trace
+#: (ExperimentConfig) needs two steps and a delta >= 0
 _MIN_STEPS = {"distance": 2, "lyapunov": 2}
 
 
@@ -296,9 +297,12 @@ def cmd_lyapunov(args: argparse.Namespace) -> int:
 
 
 def _parse_deltas(text: str) -> list[float]:
-    vals = [float(tok) for tok in text.split(",") if tok.strip()]
+    try:
+        vals = [float(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        vals = []
     if not vals:
-        raise argparse.ArgumentTypeError("empty delta list")
+        raise argparse.ArgumentTypeError(f"expected a comma-separated list of numbers, got {text!r}")
     return vals
 
 
@@ -406,6 +410,11 @@ def main(argv: list[str] | None = None) -> int:
         ("--record-every", opt("record_every", 1) < 1, "must be >= 1"),
         ("--tolerance", not 0.0 <= opt("tolerance", 0.0) < math.inf,
          f"must be finite and >= 0, got {opt('tolerance')}"),
+        ("--delta", not math.isfinite(opt("delta", 0.0)), f"must be finite, got {opt('delta')}"),
+        ("--delta", opt("delta", 0.0) < 0.0 and args.command in _MIN_STEPS,
+         f"must be >= 0, got {opt('delta')}"),
+        ("--head-angle", not math.isfinite(opt("head_angle", 0.0)),
+         f"must be finite, got {opt('head_angle')}"),
         *(("--deltas", not 0.0 < d <= 0.1, f"values must lie in (0, 0.1], got {d}")
           for d in opt("deltas", ())),
     ]:

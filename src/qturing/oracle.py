@@ -6,12 +6,14 @@ weights (1, 0) and (0, 1) give the primitive, entanglement-free branches),
 the tape polarization, periodic-orbit closure in exact integer arithmetic,
 and the stability factors of periodic orbits under a seed perturbation.
 Pure functions throughout.
+
+Head and tape predictions assume the head is prepared with the schedule's
+seed perturbation delta, as ``engine.init_state(delta)`` does.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple
 
 from .engine import BlochVector
@@ -23,9 +25,6 @@ from .schedule import (
     fib_mod,
     wrap_angle,
 )
-
-# 2*pi to 40 digits; Fraction-exact reduction of huge multiples of alpha1
-_TWO_PI = Fraction("6.283185307179586476925286766559005768394")
 
 #: largest index at which Fibonacci numbers stay meaningful in double
 #: precision products; larger requests are rejected rather than degraded
@@ -50,11 +49,6 @@ class StabilityLimits(NamedTuple):
     m11: int
     m22: float
     tape: float | None
-
-
-def _reduce_pi_multiple(coeff: int, alpha1: float) -> float:
-    """(coeff * alpha1) mod 2*pi without float blow-up, via rational arithmetic."""
-    return float((coeff * Fraction(alpha1)) % _TWO_PI)
 
 
 def _check_fib_index(m: int) -> None:
@@ -86,46 +80,21 @@ def tape_factor_undefined(m: int, config: ScheduleConfig) -> str | None:
     return None
 
 
-def _head_angles(
-    seq: AngleSequence, n: int, head_angle: float | None
-) -> tuple[float, float]:
-    """Cumulative angles (C_plus, C_minus) after n steps, preparation included.
-
-    By default the head is assumed prepared with the same angle as the
-    schedule seed (the paired perturbation convention); pass ``head_angle``
-    to decouple the preparation from the seed.
-    """
-    if n < 0:
-        raise ValueError(f"step index must be >= 0, got {n}")
-    m = (n + 1) // 2
-    seed = wrap_angle(seq.config.delta)
-    adjust = 0.0 if head_angle is None else wrap_angle(head_angle) - seed
-    c_plus = seq.cumulative_plus(m) + adjust
-    # the minus-branch head is reflected by each flip, so the preparation
-    # angle enters with alternating sign
-    sign = 1.0 if m % 2 == 0 else -1.0
-    if n % 2 == 1:
-        sign = -sign
-    c_minus = seq.cumulative_minus(n) + sign * adjust
-    return c_plus, c_minus
-
-
-def head_bloch_superposed(
-    seq: AngleSequence,
-    weights: SuperpositionWeights,
-    n: int,
-    head_angle: float | None = None,
-) -> BlochVector:
+def head_bloch_superposed(seq: AngleSequence, weights: SuperpositionWeights, n: int) -> BlochVector:
     """Head Bloch vector of a weighted superposition of the two branches.
 
     The tape eigenstates stay orthogonal for all times, so the reduced head
     state is the convex combination of the branch states with weights
     |a+|^2 and |a-|^2.  Weights (1, 0) and (0, 1) give the entanglement-free
-    branches alone, each at (0, sin C, -cos C) for its cumulative angle C.
+    branches alone, each at (0, sin C, -cos C) for its cumulative angle C
+    after n steps, preparation included.
     """
+    if n < 0:
+        raise ValueError(f"step index must be >= 0, got {n}")
     wp = abs(weights.a_plus) ** 2
     wm = abs(weights.a_minus) ** 2
-    c_plus, c_minus = _head_angles(seq, n, head_angle)
+    c_plus = seq.cumulative_plus((n + 1) // 2)
+    c_minus = seq.cumulative_minus(n)
     return BlochVector(
         0.0,
         wp * math.sin(c_plus) + wm * math.sin(c_minus),
@@ -137,8 +106,8 @@ def tape_sigma3(seq: AngleSequence, n: int) -> float:
     """Tape polarization at step n for the initial state |-1, -1>.
 
     Valid for Fibonacci schedules with a (possibly zero) seed perturbation
-    delta; the head is assumed prepared with the same angle delta.  The
-    other two tape components vanish identically for this initial state.
+    delta.  The other two tape components vanish identically for this
+    initial state.
     """
     if n < 0:
         raise ValueError(f"step index must be >= 0, got {n}")
@@ -282,32 +251,3 @@ def delta_c(m: int, delta: float) -> tuple[float, float]:
         raise ValueError(f"cycle index must be >= 2, got {m}")
     _check_fib_index(m + 1)
     return delta * fib(m + 1), -delta * fib(m - 2)
-
-
-def perturbed_cumulative_periodic(
-    m: int, seq: AngleSequence
-) -> tuple[float, float]:
-    """Closed forms of the unperturbed cumulative angles at cycle m, mod 2*pi.
-
-    C_plus(2m) = a_1 (F_{m+2} - 1) and C_minus(2m) = a_1 (1 - F_{m-1}) for
-    even m, -a_1 (F_{m-1} + 1) for odd m; on a periodic orbit of period 2m
-    both vanish mod 2*pi.  Uses exact integer residues when the schedule is
-    declared exact, rational reduction otherwise.
-    """
-    if m < 1:
-        raise ValueError(f"cycle index must be >= 1, got {m}")
-    cfg = seq.config
-    if cfg.mode is not ScheduleMode.FIBONACCI:
-        raise ValueError(f"closed forms require a Fibonacci schedule, got {cfg.mode}")
-    coeff_plus = fib(m + 2) - 1
-    coeff_minus = (1 - fib(m - 1)) if m % 2 == 0 else -(fib(m - 1) + 1)
-    if cfg.exact is not None:
-        p, q = cfg.exact
-        return (
-            math.pi * ((p * coeff_plus) % (2 * q)) / q,
-            math.pi * ((p * coeff_minus) % (2 * q)) / q,
-        )
-    return (
-        _reduce_pi_multiple(coeff_plus, cfg.alpha1),
-        _reduce_pi_multiple(coeff_minus, cfg.alpha1),
-    )

@@ -2,8 +2,13 @@
 not call them."""
 from __future__ import annotations
 
+from fractions import Fraction
+
 from qturing.engine import State, iterate
 from qturing.schedule import AngleSequence
+
+#: 2*pi to 40 digits, for exact reductions of huge multiples of an angle
+TWO_PI_40 = Fraction("6.283185307179586476925286766559005768394")
 
 
 def run(seq: AngleSequence, state: State, n_steps: int) -> State:

@@ -458,6 +458,24 @@ def test_paired_commands_need_two_steps(tmp_path, capsys, command):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv,line", [
+    (["distance", "--delta", "-1e-3"], "error: --delta must be >= 0, got -0.001"),
+    (["distance", "--delta", "nan"], "error: --delta must be finite, got nan"),
+    (["lyapunov", "--delta", "-1e-8"], "error: --delta must be >= 0, got -1e-08"),
+    (["oracle-check", "--delta", "inf"], "error: --delta must be finite, got inf"),
+    (["pattern", "--head-angle", "inf"], "error: --head-angle must be finite, got inf"),
+    (["stability", "--m", "20", "--deltas", "abc"], "error: argument --deltas: expected "
+     "a comma-separated list of numbers, got 'abc'"),
+], ids=["distance-negative-delta", "distance-nan-delta", "lyapunov-negative-delta",
+        "oracle-check-inf-delta", "pattern-inf-head-angle", "stability-deltas-abc"])
+def test_bad_value_names_its_flag(tmp_path, capsys, argv, line):
+    # checked in main's one pass, before any work, under the flag's own name
+    err = assert_argv_error(capsys, argv[0], "--alpha1", "2/5", *argv[1:],
+                            "--out", str(tmp_path / "x.csv"))
+    assert err == line + "\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("argv", [
     ["oracle-check", "--alpha1", "1/1" + "0" * 400, "--steps", "10"],
     ["pattern", "--alpha1", "1/1" + "0" * 400, "--steps", "10", "--out", "{out}"],

@@ -1,9 +1,11 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from reference import TWO_PI_40
 
 from qturing import engine, oracle
 from qturing.engine import Spin, TapeState
@@ -13,7 +15,6 @@ from qturing.oracle import (
     head_bloch_superposed,
     orbit_conditions,
     periodic_orbit_check,
-    perturbed_cumulative_periodic,
     stability_limits,
     stability_matrix_closed,
     tape_sigma3,
@@ -64,18 +65,19 @@ def test_primitive_odd_step_equals_following_even_step_on_plus_branch():
         np.testing.assert_allclose(odd, even, atol=1e-12)
 
 
-@pytest.mark.parametrize("phi0", [0.0, 0.7])
+@pytest.mark.parametrize("delta", [0.0, 0.7])
 @pytest.mark.parametrize(
     "tape,branch",
     [(TapeState.PLUS, "plus"), (TapeState.MINUS, "minus")],
 )
-def test_primitive_matches_simulation(phi0, tape, branch):
-    seq = fib_seq(0.3)
-    state = engine.init_state(phi0, tape)
+def test_primitive_matches_simulation(delta, tape, branch):
+    # the head is prepared with the seed delta, as the oracle assumes
+    seq = fib_seq(0.3, delta=delta)
+    state = engine.init_state(delta, tape)
     worst = 0.0
     for n, st in engine.iterate(seq, state, 2000):
         sim = engine.bloch_vector(engine.reduce_spin(st, Spin.HEAD))
-        pred = head_bloch_superposed(seq, UNIT_WEIGHTS[branch], n, head_angle=phi0)
+        pred = head_bloch_superposed(seq, UNIT_WEIGHTS[branch], n)
         worst = max(worst, *(abs(a - b) for a, b in zip(sim, pred)))
     assert worst < 1e-9
 
@@ -340,32 +342,17 @@ def test_delta_c_minus_matches_cumulative_difference():
 
 # --- periodic-orbit cumulative closed forms ---------------------------------------------
 
-def test_periodic_cumulative_first_cycles():
-    seq = fib_seq(0.3)
-    plus1, _ = perturbed_cumulative_periodic(1, seq)
-    assert plus1 == pytest.approx(0.3, abs=1e-12)
-    plus2, _ = perturbed_cumulative_periodic(2, seq)
-    assert plus2 == pytest.approx(0.6, abs=1e-12)
-
-
 @pytest.mark.parametrize("alpha1", [0.3, 2 * math.pi / 5])
 def test_periodic_cumulative_matches_running_sums(alpha1):
+    # C_plus(2m) = a_1 (F_{m+2} - 1); C_minus(2m) = a_1 (1 - F_{m-1}) for even
+    # m and -a_1 (F_{m-1} + 1) for odd m, reduced exactly mod 2*pi
     seq = fib_seq(alpha1)
     for m in range(1, 31):
-        plus, minus = perturbed_cumulative_periodic(m, seq)
+        coeff_minus = (1 - fib(m - 1)) if m % 2 == 0 else -(fib(m - 1) + 1)
+        plus, minus = (float(c * Fraction(alpha1) % TWO_PI_40)
+                       for c in (fib(m + 2) - 1, coeff_minus))
         assert circ_dist(plus, seq.cumulative_plus(m)) < 1e-9
         assert circ_dist(minus, seq.cumulative_minus(2 * m)) < 1e-9
-
-
-def test_periodic_cumulative_exact_closure():
-    seq = AngleSequence(ScheduleConfig.exact_pi(2, 5))
-    assert perturbed_cumulative_periodic(20, seq) == (0.0, 0.0)
-
-
-def test_periodic_cumulative_rejects_other_modes():
-    seq = AngleSequence(ScheduleConfig(ScheduleMode.ARITHMETIC, 0.3))
-    with pytest.raises(ValueError):
-        perturbed_cumulative_periodic(3, seq)
 
 
 # --- oracle vs simulation (compact version of the central property) ----------------------
