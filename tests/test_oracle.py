@@ -355,6 +355,13 @@ def test_periodic_cumulative_matches_running_sums(alpha1):
         assert circ_dist(minus, seq.cumulative_minus(2 * m)) < 1e-9
 
 
+def test_periodic_cumulative_exact_closure():
+    # alpha1 = (2/5)*pi closes after m = 20 cycles on both branches: the exact
+    # integer path gives 0.0, not a float near 2*pi
+    seq = AngleSequence(ScheduleConfig.exact_pi(2, 5))
+    assert (seq.cumulative_plus(20), seq.cumulative_minus(40)) == (0.0, 0.0)
+
+
 # --- oracle vs simulation (compact version of the central property) ----------------------
 
 @pytest.mark.parametrize("alpha1", [0.3, 2 * math.pi / 5])

@@ -204,7 +204,6 @@ def test_cumulative_plus_periodic_closure_exact():
     # alpha1 = (2/5)*pi closes after 20 cycles: integer path gives exactly 0
     seq = AngleSequence(ScheduleConfig.exact_pi(2, 5))
     assert seq.cumulative_plus(20) == 0.0
-    assert seq.cumulative_minus(40) == 0.0
 
 
 def test_cumulative_plus_periodic_closure_float_path():
