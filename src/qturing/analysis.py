@@ -84,9 +84,10 @@ def trajectory_bloch(
 ) -> Iterator[TrajectoryRecord]:
     """Head Bloch vectors of a single trajectory, yielded as it advances:
     every ``record_every`` steps and at the last step."""
+    spin_bloch, head = engine.spin_bloch, engine.Spin.HEAD
     for n, state in engine.iterate(seq, initial, steps):
         if n % record_every == 0 or n == steps:
-            yield TrajectoryRecord(n, engine.spin_bloch(state, engine.Spin.HEAD))
+            yield TrajectoryRecord(n, spin_bloch(state, head))
 
 
 _SPIN = {
@@ -110,13 +111,14 @@ def distance_rows(cfg: ExperimentConfig) -> Iterator[tuple[int, float, float]]:
     state_a = engine.init_state(0.0)
     state_b = engine.init_state(cfg.schedule.delta)
 
-    spin = _SPIN[cfg.subsystem]
-    yield (0, *engine.pair_metrics(state_a, state_b, spin))
-    iter_a = engine.iterate(seq_a, state_a, cfg.steps)
-    iter_b = engine.iterate(seq_b, state_b, cfg.steps)
+    spin, metrics = _SPIN[cfg.subsystem], engine.pair_metrics
+    steps, every = cfg.steps, cfg.record_every
+    yield (0, *metrics(state_a, state_b, spin))
+    iter_a = engine.iterate(seq_a, state_a, steps)
+    iter_b = engine.iterate(seq_b, state_b, steps)
     for (n, sa), (_, sb) in zip(iter_a, iter_b):
-        if n % cfg.record_every == 0 or n == cfg.steps:
-            yield (n, *engine.pair_metrics(sa, sb, spin))
+        if n % every == 0 or n == steps:
+            yield (n, *metrics(sa, sb, spin))
 
 
 def distance_trace(cfg: ExperimentConfig) -> DistanceTrace:

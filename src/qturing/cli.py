@@ -46,17 +46,22 @@ _MIN_STEPS = {"distance": 2, "lyapunov": 2}
 
 
 def parse_alpha1(spec: str, mode: ScheduleMode, delta: float) -> ScheduleConfig:
-    """Build a schedule config from an alpha1 spec: float or exact 'p/q' of pi."""
+    """Schedule config from an alpha1 spec, float or exact 'p/q' of pi; errors name --alpha1."""
     match = _EXACT_RE.match(spec)
     if match:
         p, q = int(match.group(1)), int(match.group(2))
         if q == 0:
-            raise ValueError(f"zero denominator in alpha1 spec {spec!r}")
+            raise ValueError(f"--alpha1 denominator must be >= 1, got {spec!r}")
+        den = q // math.gcd(p, q)  # the reduced denominator that ScheduleConfig bounds
+        if den > 2**1020:
+            raise ValueError(f"--alpha1 denominator must be <= 2**1020, got {den.bit_length()} bits")
         return ScheduleConfig.exact_pi(p, q, mode=mode, delta=delta)
     try:
         value = float(spec)
     except ValueError:
-        raise ValueError(f"malformed alpha1 spec {spec!r}: expected float or p/q") from None
+        raise ValueError(f"--alpha1 must be a float or p/q, got {spec!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"--alpha1 must be finite, got {value}")
     return ScheduleConfig(mode=mode, alpha1=value, delta=delta)
 
 
@@ -162,7 +167,7 @@ def cmd_distance(args: argparse.Namespace) -> int:
         subsystem=Subsystem(args.subsystem),
         record_every=args.record_every,
     )
-    rows = (f"{n},{d2:.17g},{ov:.17g}" for n, d2, ov in analysis.distance_rows(cfg))
+    rows = ("%d,%.17g,%.17g" % row for row in analysis.distance_rows(cfg))
     config = {
         "schedule": _config_json(schedule),
         "delta": args.delta,
@@ -233,11 +238,14 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
     state = engine.init_state(args.delta)
     max_dev = 0.0
     first_fail = None
+    bloch, reduce, predict_head, predict_t3 = (engine.bloch_vector, engine.reduce_spin,
+                                               oracle.head_bloch_superposed, oracle.tape_sigma3)
+    head_spin, tape_spin = engine.Spin.HEAD, engine.Spin.TAPE
     for n, st in engine.iterate(seq, state, args.steps):
-        head = engine.bloch_vector(engine.reduce_spin(st, engine.Spin.HEAD))
-        tape = engine.bloch_vector(engine.reduce_spin(st, engine.Spin.TAPE))
-        pred_head = oracle.head_bloch_superposed(seq, weights, n)
-        pred_t3 = oracle.tape_sigma3(seq, n)
+        head = bloch(reduce(st, head_spin))
+        tape = bloch(reduce(st, tape_spin))
+        pred_head = predict_head(seq, weights, n)
+        pred_t3 = predict_t3(seq, n)
         dev = max(
             abs(head.s1 - pred_head.s1),
             abs(head.s2 - pred_head.s2),

@@ -102,16 +102,19 @@ def iterate(seq: AngleSequence, state: State, n_steps: int) -> Iterator[tuple[in
     """Yield (n, state) after each gate: odd gates rotate, even gates QCNOT.
 
     Gate 2m-1 rotates the head by seq.angle(m); gate 2m applies the
-    conditional NOT.  Deterministic and norm-preserving throughout.
+    conditional NOT.  Each loop turn steps one cycle, and an odd count ends
+    on a rotation.  Deterministic and norm-preserving throughout.
     """
     if n_steps < 0:
         raise ValueError(f"step count must be >= 0, got {n_steps}")
-    for n in range(1, n_steps + 1):
-        if n % 2 == 1:
-            state = apply_head_rotation(state, seq.angle((n + 1) // 2))
-        else:
-            state = apply_qcnot(state)
-        yield n, state
+    angle = seq.angle
+    for m in range(1, n_steps // 2 + 1):
+        state = apply_head_rotation(state, angle(m))
+        yield 2 * m - 1, state
+        state = apply_qcnot(state)
+        yield 2 * m, state
+    if n_steps % 2:
+        yield n_steps, apply_head_rotation(state, angle(n_steps // 2 + 1))
 
 
 def reduce_spin(state: State, spin: Spin | str) -> Matrix2:
@@ -121,8 +124,10 @@ def reduce_spin(state: State, spin: Spin | str) -> Matrix2:
     the head index instead, which is the same formula with c1 and c2 swapped.
     """
     c0, c1, c2, c3 = state
-    if Spin(spin) is Spin.TAPE:
+    if spin == "tape":  # a Spin member equals its value
         c1, c2 = c2, c1
+    elif spin != "head":
+        Spin(spin)  # raises ValueError
     k0, k1, k2, k3 = c0.conjugate(), c1.conjugate(), c2.conjugate(), c3.conjugate()
     return ((c0 * k0 + c1 * k1, c0 * k2 + c1 * k3), (c2 * k0 + c3 * k1, c2 * k2 + c3 * k3))
 
@@ -134,13 +139,14 @@ def bloch_vector(rho: Matrix2) -> BlochVector:
     (rho sigma)_11.
     """
     (r00, r01), (r10, r11) = rho
-    comps = []
-    for (s00, s01), (s10, s11) in PAULI:
-        val = (r00 * s00 + r01 * s10) + (r10 * s01 + r11 * s11)
-        if abs(val.imag) > 1e-9:
-            raise ValueError(f"density matrix is corrupted: Im Tr(rho sigma) = {val.imag}")
-        comps.append(val.real)
-    return BlochVector(*comps)
+    ((a00, a01), (a10, a11)), ((b00, b01), (b10, b11)), ((c00, c01), (c10, c11)) = PAULI
+    v1 = (r00 * a00 + r01 * a10) + (r10 * a01 + r11 * a11)
+    v2 = (r00 * b00 + r01 * b10) + (r10 * b01 + r11 * b11)
+    v3 = (r00 * c00 + r01 * c10) + (r10 * c01 + r11 * c11)
+    if abs(v1.imag) > 1e-9 or abs(v2.imag) > 1e-9 or abs(v3.imag) > 1e-9:
+        bad = next(v.imag for v in (v1, v2, v3) if abs(v.imag) > 1e-9)
+        raise ValueError(f"density matrix is corrupted: Im Tr(rho sigma) = {bad}")
+    return BlochVector(v1.real, v2.real, v3.real)
 
 
 def spin_bloch(state: State, spin: Spin | str) -> BlochVector:
@@ -153,8 +159,10 @@ def spin_bloch(state: State, spin: Spin | str) -> BlochVector:
     0.0, which the matrix route never emits.
     """
     c0, c1, c2, c3 = state
-    if spin is not Spin.HEAD and Spin(spin) is Spin.TAPE:
+    if spin == "tape":
         c1, c2 = c2, c1
+    elif spin != "head":
+        Spin(spin)  # raises ValueError
     r = c0 * c2.conjugate() + c1 * c3.conjugate()
     p0 = (c0 * c0.conjugate()).real + (c1 * c1.conjugate()).real
     p1 = (c2 * c2.conjugate()).real + (c3 * c3.conjugate()).real
@@ -193,15 +201,16 @@ def pair_metrics(
     """
     a0, a1, a2, a3 = state_a
     b0, b1, b2, b3 = state_b
-    z = b0.conjugate() * a0 + b1.conjugate() * a1 + b2.conjugate() * a2 + b3.conjugate() * a3
+    b0c, b1c, b2c, b3c = b0.conjugate(), b1.conjugate(), b2.conjugate(), b3.conjugate()
+    z = b0c * a0 + b1c * a1 + b2c * a2 + b3c * a3
     ov = z.real * z.real + z.imag * z.imag
     if spin is None:
         return 2.0 * (1.0 - ov), ov
-    if spin is not Spin.HEAD and Spin(spin) is Spin.TAPE:
-        a1, a2 = a2, a1
-        b1, b2 = b2, b1
+    if spin == "tape":
+        a1, a2, b1, b2, b1c, b2c = a2, a1, b2, b1, b2c, b1c
+    elif spin != "head":
+        Spin(spin)  # raises ValueError
     a0c, a1c, a2c, a3c = a0.conjugate(), a1.conjugate(), a2.conjugate(), a3.conjugate()
-    b0c, b1c, b2c, b3c = b0.conjugate(), b1.conjugate(), b2.conjugate(), b3.conjugate()
     d00 = (a0 * a0c + a1 * a1c).real - (b0 * b0c + b1 * b1c).real
     d11 = (a2 * a2c + a3 * a3c).real - (b2 * b2c + b3 * b3c).real
     d01 = (a0 * a2c + a1 * a3c) - (b0 * b2c + b1 * b3c)

@@ -132,6 +132,9 @@ class ScheduleConfig:
 #: backward move re-seeds it from fib_mod
 _MAX_ADVANCE = 64
 
+#: float angles the float backend appends per block when a read runs past its cache
+_GROW_BLOCK = 256
+
 
 def _residues(pair: list[int], m: int, mod: int) -> tuple[int, int]:
     """Move a carried pair [k, F_{k-1}, F_k] mod ``mod`` to index m >= 0 and
@@ -153,8 +156,9 @@ class AngleSequence:
     An exact Fibonacci schedule answers every query in closed form from the
     integer residues (F_{m-1}, F_m) mod 2q of two carried pairs, one for
     angles and one for cumulatives, which ascending queries advance by
-    additions.  Any other schedule caches its float angles and running sums,
-    so random access is O(1) after one forward pass.  A nonzero delta adds
+    additions.  Any other schedule caches its float angles, grown in blocks
+    of _GROW_BLOCK, and their running sums as far as a cumulative query
+    reads them, so a cached angle is one list read.  A nonzero delta adds
     the seed term delta * F_k mod 2*pi, a float recurrence cached as far as
     it is read.  Instances are single-owner: advance one sequence per thread.
     """
@@ -188,26 +192,30 @@ class AngleSequence:
         return dfib[k + 2]
 
     def _grow(self, m: int) -> None:
-        """Extend the float backend's caches through index m."""
+        """Extend the float backend's angles through index m, in whole blocks."""
         ang = self._ang
         k = len(ang)
         if k > m:
             return
-        cfg = self.config
-        cum, alt = self._cum, self._alt
+        count = (m - k) // _GROW_BLOCK * _GROW_BLOCK + _GROW_BLOCK
+        if self.config.mode is ScheduleMode.FIXED:
+            ang.extend([wrap_angle(self.config.alpha1)] * count)
+            return
+        fibonacci = self.config.mode is ScheduleMode.FIBONACCI
         prev2, prev1 = ang[k - 2], ang[k - 1]
-        while k <= m:
-            if cfg.mode is ScheduleMode.FIBONACCI:
-                nxt = wrap_angle(prev2 + prev1)
-            elif cfg.mode is ScheduleMode.ARITHMETIC:
-                nxt = wrap_angle(2.0 * prev1 - prev2)
-            else:
-                nxt = wrap_angle(cfg.alpha1)
-            ang.append(nxt)
-            cum.append(wrap_angle(cum[k - 1] + nxt))
-            alt.append(wrap_angle(alt[k - 1] - nxt if k % 2 else alt[k - 1] + nxt))
-            prev2, prev1 = prev1, nxt
-            k += 1
+        for _ in range(count):
+            prev2, prev1 = prev1, wrap_angle(prev2 + prev1 if fibonacci else 2.0 * prev1 - prev2)
+            ang.append(prev1)
+
+    def _sums(self, m: int) -> None:
+        """Extend the float backend's running sums through index m."""
+        if len(self._cum) > m:
+            return
+        self._grow(m)
+        ang, cum, alt = self._ang, self._cum, self._alt
+        for k in range(len(cum), m + 1):
+            cum.append(wrap_angle(cum[k - 1] + ang[k]))
+            alt.append(wrap_angle(alt[k - 1] - ang[k] if k % 2 else alt[k - 1] + ang[k]))
 
     # -- operations -------------------------------------------------------
 
@@ -216,8 +224,11 @@ class AngleSequence:
         if m < 1:
             raise ValueError(f"angle index must be >= 1, got {m}")
         if self._exact is None:
-            self._grow(m)
-            return self._ang[m]
+            try:
+                return self._ang[m]
+            except IndexError:
+                self._grow(m)
+                return self._ang[m]
         p, q = self._exact
         f = _residues(self._angle_pair, m, 2 * q)[1]
         return wrap_angle(math.pi * ((p * f) % (2 * q)) / q + self._seed(m - 1))
@@ -232,7 +243,7 @@ class AngleSequence:
         if m < 0:
             raise ValueError(f"cycle index must be >= 0, got {m}")
         if self._exact is None:
-            self._grow(m)
+            self._sums(m)
             return self._cum[m]
         p, q = self._exact
         f_prev, f = _residues(self._cum_pair, m, 2 * q)
@@ -253,7 +264,7 @@ class AngleSequence:
             raise ValueError(f"step index must be >= 0, got {n}")
         m = (n + 1) // 2
         if self._exact is None:
-            self._grow(m)
+            self._sums(m)
             sign = 1.0 if m % 2 == 0 else -1.0
             even = wrap_angle(sign * self._ang[0] - (-1.0) ** m * self._alt[m])
         else:

@@ -415,11 +415,14 @@ def test_steps_bounds_rejected(tmp_path):
 
 
 def assert_usage_error(capsys, *argv):
+    """A configuration error: main returns 2, nothing on stdout and one
+    error: line on stderr, which is returned."""
     assert run_cli(*argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
+    return captured.err
 
 
 def assert_argv_error(capsys, *argv):
@@ -466,12 +469,21 @@ def test_paired_commands_need_two_steps(tmp_path, capsys, command):
     (["pattern", "--head-angle", "inf"], "error: --head-angle must be finite, got inf"),
     (["stability", "--m", "20", "--deltas", "abc"], "error: argument --deltas: expected "
      "a comma-separated list of numbers, got 'abc'"),
+    (["pattern", "--alpha1", "nan"], "error: --alpha1 must be finite, got nan"),
+    (["distance", "--alpha1", "inf"], "error: --alpha1 must be finite, got inf"),
+    (["oracle-check", "--alpha1", "abc"], "error: --alpha1 must be a float or p/q, got 'abc'"),
+    (["lyapunov", "--alpha1", "1/0"], "error: --alpha1 denominator must be >= 1, got '1/0'"),
+    (["pattern", "--alpha1", "1/5" + "0" * 307],
+     "error: --alpha1 denominator must be <= 2**1020, got 1023 bits"),
 ], ids=["distance-negative-delta", "distance-nan-delta", "lyapunov-negative-delta",
-        "oracle-check-inf-delta", "pattern-inf-head-angle", "stability-deltas-abc"])
+        "oracle-check-inf-delta", "pattern-inf-head-angle", "stability-deltas-abc",
+        "pattern-nan-alpha1", "distance-inf-alpha1", "oracle-check-abc-alpha1",
+        "lyapunov-zero-denominator", "pattern-denominator-5e307"])
 def test_bad_value_names_its_flag(tmp_path, capsys, argv, line):
-    # checked in main's one pass, before any work, under the flag's own name
-    err = assert_argv_error(capsys, argv[0], "--alpha1", "2/5", *argv[1:],
-                            "--out", str(tmp_path / "x.csv"))
+    # checked before any work, under the flag's own name: by main's one pass
+    # (SystemExit 2), or for --alpha1 by parse_alpha1 (main returns 2)
+    check = assert_usage_error if argv[1] == "--alpha1" else assert_argv_error
+    err = check(capsys, argv[0], "--alpha1", "2/5", *argv[1:], "--out", str(tmp_path / "x.csv"))
     assert err == line + "\n"
     assert list(tmp_path.iterdir()) == []
 

@@ -194,6 +194,23 @@ def test_run_rejects_negative_steps():
         run(fib_seq(0.3), init_state(0.0), -1)
 
 
+@pytest.mark.parametrize("n_steps", [0, 1, 2, 3, 2001])
+@pytest.mark.parametrize("config", [
+    ScheduleConfig.exact_pi(2, 5, delta=1e-3),
+    ScheduleConfig(ScheduleMode.ARITHMETIC, 0.3, delta=1e-3),
+], ids=["exact", "float"])
+def test_iterate_matches_gate_by_gate(config, n_steps):
+    # one yield per gate, n = 1..n_steps, each state bit-identical to the
+    # gates applied one at a time
+    initial = init_state(1e-3, TapeState.MINUS_ONE)  # entangled by the first QCNOT
+    got = list(iterate(AngleSequence(config), initial, n_steps))
+    assert [n for n, _ in got] == list(range(1, n_steps + 1))
+    seq, state = AngleSequence(config), initial
+    for n, gated in got:
+        state = apply_head_rotation(state, seq.angle((n + 1) // 2)) if n % 2 else apply_qcnot(state)
+        assert repr(gated) == repr(state), n
+
+
 # --- reductions and Bloch vectors ------------------------------------------------
 
 def test_reduce_product_state_is_pure():
@@ -211,6 +228,7 @@ def test_reduce_bell_like_state_is_maximally_mixed():
 @given(state=state_strategy)
 def test_reduce_traces_are_one(state):
     for spin in Spin:
+        assert reduce_spin(state, spin.value) == reduce_spin(state, spin)
         rho = np.array(reduce_spin(state, spin))
         assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_allclose(rho, rho.conj().T, atol=1e-12)
@@ -371,7 +389,7 @@ def test_qcnot_matrix_is_self_inverse():
 @given(sa=state_strategy, sb=state_strategy)
 def test_pair_metrics_match_density_matrix_route(sa, sb):
     ov_ref = overlap_sq(sa, sb)
-    for spin in (Spin.HEAD, Spin.TAPE):
+    for spin in (Spin.HEAD, Spin.TAPE, "head", "tape"):
         d2, ov = pair_metrics(sa, sb, spin)
         ref = distance_sq(reduce_spin(sa, spin), reduce_spin(sb, spin))
         # both routes round within ~3 ulp of the exact value, so they can
@@ -412,8 +430,9 @@ def test_pair_metrics_tape_is_not_head():
     # tape flipped, head untouched: only the tape and network distances move
     a = init_state(0.3)
     b = init_state(0.3, TapeState.PLUS_ONE)
-    assert pair_metrics(a, b, Spin.HEAD)[0] == pytest.approx(0.0, abs=1e-15)
-    assert pair_metrics(a, b, Spin.TAPE)[0] == pytest.approx(2.0, abs=1e-15)
+    for head, tape in ((Spin.HEAD, Spin.TAPE), ("head", "tape")):
+        assert pair_metrics(a, b, head)[0] == pytest.approx(0.0, abs=1e-15)
+        assert pair_metrics(a, b, tape)[0] == pytest.approx(2.0, abs=1e-15)
     assert pair_metrics(a, b) == pytest.approx((2.0, 0.0), abs=1e-15)
 
 
@@ -444,13 +463,16 @@ def test_spin_bloch_matches_density_matrix_route(state):
 
 def test_spin_bloch_of_zero_amplitudes_has_no_negative_zero():
     state = (complex(-0.0, -0.0), complex(0.0, -0.0), complex(-0.0, 0.0), -0j)
-    for spin in (Spin.HEAD, Spin.TAPE):
+    for spin in (Spin.HEAD, Spin.TAPE, "head", "tape"):
         assert repr(spin_bloch(state, spin)) == "BlochVector(s1=0.0, s2=0.0, s3=0.0)"
 
 
 def test_spin_bloch_rejects_unknown_spin():
-    with pytest.raises(ValueError):
-        spin_bloch(init_state(0.0), "network")
+    for spin in ("network", None):
+        with pytest.raises(ValueError):
+            spin_bloch(init_state(0.0), spin)
+        with pytest.raises(ValueError):
+            reduce_spin(init_state(0.0), spin)
 
 
 def test_gates_return_complex_4_tuples():

@@ -2,8 +2,9 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from reference import EagerFloatSchedule
 
 from qturing.schedule import (
     TWO_PI,
@@ -465,3 +466,40 @@ def test_exact_queries_in_any_order_match_ascending_reads(pq, delta, moves):
     seq = AngleSequence(config)
     for kind, i in queries:
         assert getattr(seq, kind)(i) == reference[kind][i], (kind, i)
+
+
+# --- float backend: any query order gives the eager recurrence's values ------
+
+#: indices around the float backend's growth blocks of 256 angles
+BLOCK_EDGES = [255, 256, 257, 513]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    mode=st.sampled_from(list(ScheduleMode)),
+    alpha1=st.sampled_from([0.3, 1.2566370616, 2 * math.pi / 5, 5.9, 8.0, -0.7]),
+    delta=st.sampled_from([0.0, 1e-3]),
+    moves=st.lists(
+        st.tuples(
+            st.sampled_from(QUERIES),
+            st.one_of(st.sampled_from(BLOCK_EDGES), st.integers(min_value=0, max_value=1100)),
+        ),
+        min_size=1, max_size=40,
+    ),
+)
+@example(mode=ScheduleMode.FIBONACCI, alpha1=0.3, delta=1e-3,
+         moves=[("cumulative_plus", 257), ("angle", 256), ("cumulative_minus", 1027),
+                ("angle", 513), ("delta_fib", 255), ("angle", 255)])
+@example(mode=ScheduleMode.ARITHMETIC, alpha1=0.3, delta=0.0,
+         moves=[("cumulative_minus", 513), ("angle", 1), ("cumulative_plus", 256)])
+@example(mode=ScheduleMode.FIXED, alpha1=8.0, delta=1e-3,
+         moves=[("angle", 2), ("cumulative_minus", 600), ("angle", 257)])
+def test_float_queries_in_any_order_match_eager_recurrence(mode, alpha1, delta, moves):
+    # every value must equal, bit for bit, the one-pass reference recurrence,
+    # wherever the reads fall against the growth blocks
+    config = ScheduleConfig(mode=mode, alpha1=alpha1, delta=delta)
+    queries = [(kind, max(i, LOWEST[kind])) for kind, i in moves]
+    reference = EagerFloatSchedule(config, max(i for _, i in queries) + 1)
+    seq = AngleSequence(config)
+    for kind, i in queries:
+        assert getattr(seq, kind)(i).hex() == getattr(reference, kind)(i).hex(), (kind, i)
