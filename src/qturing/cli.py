@@ -37,6 +37,10 @@ _EXACT_RE = re.compile(r"^\s*([+-]?\d+)\s*/\s*(\d+)\s*$")
 #: -nan) is an option's value, never an option
 _NEGATIVE_RE = re.compile(r"^-(\.?\d|inf|nan)", re.IGNORECASE)
 
+#: most digits read in each of an --alpha1 p/q's p and q; int() itself stops
+#: at 4300 by default, with a message that names neither the flag nor a bound
+_MAX_ALPHA1_DIGITS = 4300
+
 #: CSV rows joined per write while an output streams to disk
 _CHUNK_ROWS = 4096
 
@@ -49,6 +53,10 @@ def parse_alpha1(spec: str, mode: ScheduleMode, delta: float) -> ScheduleConfig:
     """Schedule config from an alpha1 spec, float or exact 'p/q' of pi; errors name --alpha1."""
     match = _EXACT_RE.match(spec)
     if match:
+        digits = max(len(match.group(1).lstrip("+-")), len(match.group(2)))
+        if digits > _MAX_ALPHA1_DIGITS:
+            raise ValueError(f"--alpha1 p and q must have at most {_MAX_ALPHA1_DIGITS} "
+                             f"digits each, got {digits}")
         p, q = int(match.group(1)), int(match.group(2))
         if q == 0:
             raise ValueError(f"--alpha1 denominator must be >= 1, got {spec!r}")

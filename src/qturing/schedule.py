@@ -56,8 +56,8 @@ def fib(n: int) -> int:
     return a
 
 
-def fib_mod(n: int, mod: int) -> int:
-    """F_n mod ``mod`` by fast doubling, O(log n).
+def fib_pair_mod(n: int, mod: int) -> tuple[int, int]:
+    """(F_n, F_{n+1}) mod ``mod`` by fast doubling, O(log n).
 
     Walks the bits of n from the top, keeping (F_k, F_{k+1}) mod ``mod``
     for the prefix k read so far: F_2k = F_k (2 F_{k+1} - F_k) and
@@ -69,13 +69,18 @@ def fib_mod(n: int, mod: int) -> int:
         raise ValueError(f"modulus must be positive, got {mod}")
     a, b = 0, 1
     for bit in bin(n)[2:]:
-        c = (a * ((2 * b - a) % mod)) % mod
+        c = a * (2 * b - a) % mod
         d = (a * a + b * b) % mod
         if bit == "1":
             a, b = d, (c + d) % mod
         else:
             a, b = c, d
-    return a
+    return a, b
+
+
+def fib_mod(n: int, mod: int) -> int:
+    """F_n mod ``mod``, the first element of ``fib_pair_mod``."""
+    return fib_pair_mod(n, mod)[0]
 
 
 @dataclass(frozen=True)
@@ -129,7 +134,7 @@ class ScheduleConfig:
 
 
 #: longest forward move of a carried residue pair by additions; a longer or
-#: backward move re-seeds it from fib_mod
+#: backward move re-seeds it from one fib_pair_mod walk
 _MAX_ADVANCE = 64
 
 #: float angles the float backend appends per block when a read runs past its cache
@@ -144,7 +149,7 @@ def _residues(pair: list[int], m: int, mod: int) -> tuple[int, int]:
         for _ in range(m - k):
             prev, cur = cur, (prev + cur) % mod
     else:
-        prev, cur = fib_mod(m - 1, mod) if m else 1, fib_mod(m, mod)
+        prev, cur = fib_pair_mod(m - 1, mod) if m else (1, 0)
     pair[:] = m, prev, cur
     return prev, cur
 

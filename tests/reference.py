@@ -5,7 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from qturing.engine import State, iterate
-from qturing.schedule import AngleSequence, ScheduleConfig, ScheduleMode, wrap_angle
+from qturing.schedule import AngleSequence, ScheduleConfig, ScheduleMode, fib_mod, wrap_angle
 
 #: 2*pi to 40 digits, for exact reductions of huge multiples of an angle
 TWO_PI_40 = Fraction("6.283185307179586476925286766559005768394")
@@ -64,3 +64,19 @@ class EagerFloatSchedule:
 
     def delta_fib(self, m: int) -> float:
         return self.dfib[m + 2]
+
+
+def orbit_conditions_three_walks(p: int, q: int, m: int) -> tuple[bool, bool, bool]:
+    """The closure conditions at cycle m >= 0 for alpha1 = (p/q)*pi, with
+    F_{m-1}, F_{m+1} and F_{m+2} mod 2q each from its own fib_mod walk."""
+    mod = 2 * q
+    f_m1 = fib_mod(m - 1, mod) if m >= 1 else 1
+    f1 = fib_mod(m + 1, mod)
+    f2 = fib_mod(m + 2, mod)
+    c_plus = (p * (f2 - 1)) % mod == 0
+    if m % 2 == 0:
+        c_minus = (p * (f_m1 - 1)) % mod == 0
+    else:
+        c_minus = (p * (f_m1 + 1)) % mod == 0
+    c_angle = (p * (f1 - 1)) % mod == 0
+    return c_plus, c_minus, c_angle

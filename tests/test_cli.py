@@ -40,6 +40,9 @@ def test_parse_alpha1_exact_fraction():
 
 def test_parse_alpha1_reduces_fraction():
     assert parse_alpha1("4/10", ScheduleMode.FIBONACCI, 0.0).exact == (2, 5)
+    # 4300 digits each, the most --alpha1 reads; the sign is not a digit
+    longest = "-" + "9" * 4300 + "/" + "0" * 4299 + "7"
+    assert parse_alpha1(longest, ScheduleMode.FIBONACCI, 0.0).exact == (-(10**4300 - 1) % 14, 7)
 
 
 def test_parse_alpha1_float_is_inexact():
@@ -475,10 +478,15 @@ def test_paired_commands_need_two_steps(tmp_path, capsys, command):
     (["lyapunov", "--alpha1", "1/0"], "error: --alpha1 denominator must be >= 1, got '1/0'"),
     (["pattern", "--alpha1", "1/5" + "0" * 307],
      "error: --alpha1 denominator must be <= 2**1020, got 1023 bits"),
+    (["pattern", "--alpha1", "1/1" + "0" * 5000],
+     "error: --alpha1 p and q must have at most 4300 digits each, got 5001"),
+    (["pattern", "--alpha1", "7" * 5000 + "/3"],
+     "error: --alpha1 p and q must have at most 4300 digits each, got 5000"),
 ], ids=["distance-negative-delta", "distance-nan-delta", "lyapunov-negative-delta",
         "oracle-check-inf-delta", "pattern-inf-head-angle", "stability-deltas-abc",
         "pattern-nan-alpha1", "distance-inf-alpha1", "oracle-check-abc-alpha1",
-        "lyapunov-zero-denominator", "pattern-denominator-5e307"])
+        "lyapunov-zero-denominator", "pattern-denominator-5e307",
+        "pattern-denominator-5001-digits", "pattern-numerator-5000-digits"])
 def test_bad_value_names_its_flag(tmp_path, capsys, argv, line):
     # checked before any work, under the flag's own name: by main's one pass
     # (SystemExit 2), or for --alpha1 by parse_alpha1 (main returns 2)

@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from reference import TWO_PI_40
+from reference import TWO_PI_40, orbit_conditions_three_walks
 
 from qturing import engine, oracle
 from qturing.engine import Spin, TapeState
@@ -199,6 +199,76 @@ def test_orbit_conditions_close_at_twenty_cycles():
     assert orbit_conditions(2, 5, 20) == (True, True, True)
     assert not all(orbit_conditions(2, 5, 3))
     assert not all(orbit_conditions(2, 5, 19))
+
+
+@pytest.mark.parametrize("m", [-1, -2])
+def test_orbit_conditions_reject_negative_cycle(m):
+    with pytest.raises(ValueError, match=rf"^cycle index must be >= 0, got {m}$"):
+        orbit_conditions(2, 5, m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(q=st.integers(1, 2000), p=st.integers(-4000, 4000), m=st.integers(0, 10**6),
+       near_closure=st.booleans(), offset=st.integers(-2, 2))
+@example(q=1, p=0, m=0, near_closure=False, offset=0)
+@example(q=5, p=2, m=20, near_closure=False, offset=0)
+@example(q=1999, p=-3, m=0, near_closure=True, offset=-1)
+def test_orbit_conditions_match_three_walks(p, q, m, near_closure, offset):
+    # one pair walk gives what three fib_mod walks gave, also at and next to
+    # the cycles where the orbit closes
+    assume(math.gcd(p, q) == 1)
+    if near_closure:
+        m0 = periodic_orbit_check(p, q) // 2
+        m = max(m // m0 * m0 + offset, 0)
+    assert orbit_conditions(p, q, m) == orbit_conditions_three_walks(p, q, m)
+
+
+def test_orbit_search_makes_one_pair_walk_per_closure_test(monkeypatch):
+    walks, tests = [], []
+    walk, test = oracle.fib_pair_mod, oracle.orbit_conditions
+    monkeypatch.setattr(oracle, "fib_pair_mod", lambda n, mod: walks.append(n) or walk(n, mod))
+    monkeypatch.setattr(oracle, "orbit_conditions",
+                        lambda p, q, m: tests.append(m) or test(p, q, m))
+    for p, q in [(2, 5), (1, 999983), (3, 7), (-5, 12), (0, 1)]:
+        walks.clear()
+        tests.clear()
+        periodic_orbit_check(p, q)
+        assert tests and walks == tests, (p, q)
+
+
+def _is_prime(n):
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def _prime_near(n, step):
+    while not _is_prime(n):
+        n += step
+    return n
+
+
+#: primes r with r^2 <= 10**7
+_SMALL_PRIMES = [r for r in range(2, 3163) if _is_prime(r)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.one_of(
+    st.integers(1, 10**7),
+    st.integers(0, 23).map(lambda k: 2**k),
+    st.sampled_from(_SMALL_PRIMES).map(lambda r: r * r),
+    st.integers(2, 3162).map(lambda k: _prime_near(k * k, -1)),
+    st.integers(1, 3161).map(lambda k: _prime_near(k * k, 1)),
+))
+@example(n=1)
+@example(n=2**23)
+@example(n=3137 * 3137)
+@example(n=9998239)  # the largest prime below 3162^2
+@example(n=9985601)  # 3160^2 + 1
+@example(n=2 * 999983)
+@example(n=10**7)
+def test_factorize_gives_prime_factors_of_n(n):
+    factors = oracle._factorize(n)
+    assert math.prod(r**k for r, k in factors.items()) == n
+    assert all(_is_prime(r) and k >= 1 for r, k in factors.items())
 
 
 def scan_period(p, q):

@@ -13,6 +13,7 @@ from qturing.schedule import (
     ScheduleMode,
     fib,
     fib_mod,
+    fib_pair_mod,
     wrap_angle,
 )
 
@@ -72,6 +73,22 @@ def test_fib_rejects_negative():
         fib(-1)
     with pytest.raises(ValueError):
         fib_mod(-1, 5)
+
+
+@pytest.mark.parametrize("mod", [1, 2, 3, 10, 2 * 999983])
+def test_fib_pair_mod_matches_exact_fibonacci(mod):
+    for n in range(201):
+        assert fib_pair_mod(n, mod) == (fib(n) % mod, fib(n + 1) % mod)
+
+
+def test_fib_pair_mod_rejects_bad_input():
+    with pytest.raises(ValueError, match="negative Fibonacci index: -1"):
+        fib_pair_mod(-1, 5)
+    for mod in (0, -4):
+        with pytest.raises(ValueError, match="modulus must be positive"):
+            fib_pair_mod(3, mod)
+        with pytest.raises(ValueError, match="modulus must be positive"):
+            fib_mod(3, mod)
 
 
 # --- angle ----------------------------------------------------------------
@@ -409,10 +426,14 @@ def _assert_ascending_growth_needs_no_fib_mod(monkeypatch, delta):
     seq = AngleSequence(ScheduleConfig.exact_pi(7, 13, delta=delta))
     calls = []
     monkeypatch.setattr(schedule, "fib_mod", lambda n, mod: calls.append(n) or fib_mod(n, mod))
+    monkeypatch.setattr(schedule, "fib_pair_mod",
+                        lambda n, mod: calls.append(n) or fib_pair_mod(n, mod))
     for m in range(1, 2001):
         seq.angle(m)
         seq.cumulative_plus(m // 2)
     assert calls == []
+    seq.angle(1)  # a backward move re-seeds with one walk, so the hook is live
+    assert calls == [0]
 
 
 def test_exact_delta_growth_needs_no_fib_mod(monkeypatch):
