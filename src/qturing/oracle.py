@@ -13,7 +13,8 @@ seed perturbation delta, as ``engine.init_state(delta)`` does.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from math import cos, sin
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .engine import BlochVector
@@ -37,13 +38,20 @@ MAX_CYCLE = _MAX_FIB_INDEX - 2
 
 @dataclass(frozen=True)
 class SuperpositionWeights:
+    """Branch amplitudes a+ and a-; ``wp`` and ``wm`` are |a+|^2 and |a-|^2."""
+
     a_plus: complex
     a_minus: complex
+    wp: float = field(init=False, repr=False, compare=False)
+    wm: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        norm = abs(self.a_plus) ** 2 + abs(self.a_minus) ** 2
+        wp, wm = abs(self.a_plus) ** 2, abs(self.a_minus) ** 2
+        norm = wp + wm
         if abs(norm - 1.0) > 1e-12:
             raise ValueError(f"weights must be normalized, |a+|^2+|a-|^2 = {norm}")
+        object.__setattr__(self, "wp", wp)
+        object.__setattr__(self, "wm", wm)
 
 
 class StabilityLimits(NamedTuple):
@@ -64,7 +72,7 @@ def sin_alpha1(config: ScheduleConfig) -> float:
     """sin(alpha1), exactly zero for declared integer multiples of pi."""
     if config.exact is not None and config.exact[1] == 1:
         return 0.0
-    s = math.sin(config.alpha1)
+    s = sin(config.alpha1)
     return 0.0 if abs(s) < 1e-12 else s
 
 
@@ -92,14 +100,13 @@ def head_bloch_superposed(seq: AngleSequence, weights: SuperpositionWeights, n: 
     """
     if n < 0:
         raise ValueError(f"step index must be >= 0, got {n}")
-    wp = abs(weights.a_plus) ** 2
-    wm = abs(weights.a_minus) ** 2
+    wp, wm = weights.wp, weights.wm
     c_plus = seq.cumulative_plus((n + 1) // 2)
     c_minus = seq.cumulative_minus(n)
     return BlochVector(
         0.0,
-        wp * math.sin(c_plus) + wm * math.sin(c_minus),
-        wp * -math.cos(c_plus) + wm * -math.cos(c_minus),
+        wp * sin(c_plus) + wm * sin(c_minus),
+        wp * -cos(c_plus) + wm * -cos(c_minus),
     )
 
 
@@ -118,8 +125,8 @@ def tape_sigma3(seq: AngleSequence, n: int) -> float:
     # the emitted angle at index k+1 already carries delta * F_k
     a = seq.angle(n // 2 + 1)
     if n % 4 in (0, 1):
-        return -math.cos(wrap_angle(a - wrap_angle(cfg.alpha1)))
-    return math.cos(a)
+        return -cos(wrap_angle(a - wrap_angle(cfg.alpha1)))
+    return cos(a)
 
 
 def orbit_conditions(p: int, q: int, m: int) -> tuple[bool, bool, bool]:
@@ -228,7 +235,7 @@ def stability_limits(m: int, seq: AngleSequence | None = None) -> StabilityLimit
         reason = tape_factor_undefined(m, seq.config)
         if reason is not None:
             raise ValueError(reason)
-        tape = fib(m + 1) * math.sin(seq.angle(m + 2)) / sin_alpha1(seq.config)
+        tape = fib(m + 1) * sin(seq.angle(m + 2)) / sin_alpha1(seq.config)
     return StabilityLimits(fib(m - 1), 1.0, tape)
 
 
@@ -246,8 +253,8 @@ def stability_matrix_closed(m: int, delta: float) -> tuple[float, float]:
     _check_fib_index(m)
     dm = delta * fib(m)
     dm1 = delta * fib(m - 1)
-    m11 = math.cos(dm) * math.sin(dm1) / math.sin(delta)
-    m22 = math.cos(dm) * math.cos(dm1) / math.cos(delta)
+    m11 = cos(dm) * sin(dm1) / sin(delta)
+    m22 = cos(dm) * cos(dm1) / cos(delta)
     return m11, m22
 
 

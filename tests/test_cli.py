@@ -331,16 +331,75 @@ def test_oracle_check_passes(capsys):
 
 
 def test_oracle_check_detects_corrupted_pauli(capsys, monkeypatch):
-    # negative control: flip the sign of the second Pauli matrix and the
-    # very first rotation step must disagree with the closed forms
-    s1, s2, s3 = engine.PAULI
-    negated_s2 = tuple(tuple(-x for x in row) for row in s2)
-    monkeypatch.setattr(engine, "PAULI", (s1, negated_s2, s3))
+    # negative control: flip the sign of sigma2 in the engine's Bloch vectors
+    # and the very first rotation step must disagree with the closed forms
+    # (test_engine's test_negated_sigma2_separates_the_bloch_routes keeps a
+    # sign error in engine.PAULI itself visible)
+    spin_bloch = engine.spin_bloch
+
+    def negated_s2(state, spin):
+        s1, s2, s3 = spin_bloch(state, spin)
+        return engine.BlochVector(s1, -s2, s3)
+
+    monkeypatch.setattr(engine, "spin_bloch", negated_s2)
     assert run_cli("oracle-check", "--alpha1", "0.3", "--delta", "0",
                    "--steps", "10") == 1
     report = json.loads(capsys.readouterr().out)
     assert report["pass"] is False
     assert report["first_failing_step"] == 1
+
+
+@pytest.mark.parametrize("target", ["tape_sigma3", "head_s3"])
+def test_oracle_check_fails_on_nan_prediction(capsys, monkeypatch, target):
+    # max() keeps a NaN only as its first argument, so a NaN in any deviation
+    # but the head's s1 used to vanish from the step's maximum and pass
+    nan = float("nan")
+    if target == "tape_sigma3":
+        monkeypatch.setattr(oracle, "tape_sigma3", lambda seq, n: nan)
+    else:
+        head = oracle.head_bloch_superposed
+        monkeypatch.setattr(oracle, "head_bloch_superposed",
+                            lambda seq, weights, n: head(seq, weights, n)._replace(s3=nan))
+    assert run_cli("oracle-check", "--alpha1", "2/5", "--steps", "10") == 1
+    report = json.loads(capsys.readouterr().out,
+                        parse_constant=lambda c: pytest.fail(f"report is not strict JSON: {c}"))
+    assert report["pass"] is False
+    assert report["first_failing_step"] == 1
+    assert report["max_deviation"] < 1e-9
+
+
+@pytest.mark.parametrize("alpha1", ["2/5", "1.2566370616"])
+@pytest.mark.parametrize("delta", ["0", "0.001", "-0.001"])
+@pytest.mark.parametrize("steps", [301, 300])
+def test_oracle_check_bytes_match_density_matrix_route(tmp_path, alpha1, delta, steps):
+    # the report read from the amplitude route equals one built here from
+    # bloch_vector(reduce_spin(...)) and the per-step closed forms, byte for byte
+    out = tmp_path / "oracle.json"
+    assert run_cli("oracle-check", "--alpha1", alpha1, "--delta", delta,
+                   "--steps", str(steps), "--out", str(out)) == 0
+    seq = analysis.AngleSequence(parse_alpha1(alpha1, ScheduleMode.FIBONACCI, float(delta)))
+    weights = oracle.SuperpositionWeights(1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0))
+    max_dev, first_fail = 0.0, None
+    for n, state in engine.iterate(seq, engine.init_state(float(delta)), steps):
+        head = engine.bloch_vector(engine.reduce_spin(state, engine.Spin.HEAD))
+        tape = engine.bloch_vector(engine.reduce_spin(state, engine.Spin.TAPE))
+        pred = oracle.head_bloch_superposed(seq, weights, n)
+        devs = [abs(h - p) for h, p in zip(head, pred)]
+        devs += [abs(tape.s1), abs(tape.s2), abs(tape.s3 - oracle.tape_sigma3(seq, n))]
+        assert all(math.isfinite(d) for d in devs)
+        if max(devs) > 1e-9 and first_fail is None:
+            first_fail = n
+        max_dev = max(max_dev, *devs)
+    report = {
+        "steps": steps,
+        "delta": float(delta),
+        "tolerance": 1e-9,
+        "max_deviation": max_dev,
+        "first_failing_step": first_fail,
+        "pass": first_fail is None,
+    }
+    text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    assert out.read_bytes() == text.encode("utf-8")
 
 
 # --- lyapunov ----------------------------------------------------------------------------
@@ -713,7 +772,7 @@ def test_streamed_distance_matches_collected_trace(tmp_path):
 
 def test_oracle_check_fails_on_nan_deviation(capsys, monkeypatch):
     nan = float("nan")
-    monkeypatch.setattr(engine, "bloch_vector", lambda rho: engine.BlochVector(nan, nan, nan))
+    monkeypatch.setattr(engine, "spin_bloch", lambda state, spin: engine.BlochVector(nan, nan, nan))
     assert run_cli("oracle-check", "--alpha1", "0.3", "--steps", "10") == 1
     report = json.loads(capsys.readouterr().out)
     assert report["pass"] is False

@@ -401,18 +401,35 @@ def test_pair_metrics_match_density_matrix_route(sa, sb):
     assert d2 == 2.0 * (1.0 - ov)
 
 
+def _gamma(n):
+    """Higham's gamma_n = n u / (1 - n u) for doubles, u = 2**-53, exactly."""
+    nu = Fraction(n, 2**53)
+    return nu / (1 - nu)
+
+
+#: relative error bound of pair_metrics' ov = Re(z)^2 + Im(z)^2 with z = <a|a>:
+#: Im(z) is exactly 0.0 (each conj(c) c has imaginary part x y - y x), Re(z)
+#: is a sum of 8 products x_k^2, y_k^2 within gamma_8 of the exact sum, and
+#: squaring and adding Im(z)^2 round within gamma_2
+_OV_REL_BOUND = (1 + _gamma(8)) ** 2 * (1 + _gamma(2)) - 1
+
+
 @settings(max_examples=100, deadline=None)
 @given(state=state_strategy)
 @example(state=random_states([0.0, 0.0, 1e-6, 0.0, 1e-6, 0.7460571454963776, 1e-6, 1e-6]))
+@example(state=(complex(0.3723327249288464, 0.49479426584840436),
+                complex(0.4036195876507464, 0.05066919266284758),
+                complex(0.3723327249288464, 0.4036195876507464),
+                complex(0.24854461369440328, 0.29623636377956114)))
 def test_pair_metrics_vanish_for_identical_states(state):
     for spin in (Spin.HEAD, Spin.TAPE, "head", "tape"):
         assert pair_metrics(state, state, spin)[0] == 0.0
     d2, ov = pair_metrics(state, state)
     # the network distance is 2 (1 - |<a|a>|^2): zero up to the rounding of the
     # norm, so ov is held to the exact |<a|a>|^2 of the drawn, already rounded
-    # state, not to 1.0
+    # state, not to 1.0, within the error bound of the formula that sums it
     exact = sum(Fraction(c.real) ** 2 + Fraction(c.imag) ** 2 for c in state) ** 2
-    assert abs(Fraction(ov) - exact) <= 4 * math.ulp(float(exact))
+    assert abs(Fraction(ov) - exact) <= _OV_REL_BOUND * exact
     assert d2 == 2.0 * (1.0 - ov)
 
 
@@ -459,6 +476,18 @@ def test_spin_bloch_matches_density_matrix_route(state):
     # the same floats, signed zeros included: compared by repr, not by value
     for spin in (Spin.HEAD, Spin.TAPE, "head", "tape"):
         assert repr(spin_bloch(state, spin)) == repr(bloch_vector(reduce_spin(state, spin)))
+
+
+def test_negated_sigma2_separates_the_bloch_routes(monkeypatch):
+    # oracle-check reads spin_bloch, which never reads PAULI: a sign error in
+    # sigma2 must still make the two routes disagree wherever s2 != 0
+    state = init_state(0.3)
+    s1, s2, s3 = PAULI
+    monkeypatch.setattr(engine, "PAULI", (s1, tuple(tuple(-x for x in row) for row in s2), s3))
+    for spin in (Spin.HEAD, "head"):
+        amp = spin_bloch(state, spin)
+        assert amp.s2 == pytest.approx(math.sin(0.3), abs=1e-15)
+        assert bloch_vector(reduce_spin(state, spin)) == (amp.s1, -amp.s2, amp.s3)
 
 
 def test_spin_bloch_of_zero_amplitudes_has_no_negative_zero():
