@@ -4,7 +4,8 @@ finite-difference stability factors.
 A paired run reads its perturbation delta from ``schedule.delta``, which
 acts on both the initial head preparation and the schedule seed
 (a_0 = delta): the same physical dial, so the perturbed run evolves under a
-genuinely different gate sequence.
+genuinely different gate sequence.  A trace measures the part of the network
+that ``engine.Subsystem`` names: the head, the tape or the whole network.
 
 Everything is deterministic; identical configurations produce bit-identical
 traces.  Each experiment is an independent pure computation.
@@ -14,25 +15,13 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, replace
-from enum import Enum
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 from . import engine, oracle
-from .engine import BlochVector, State
+from .engine import BlochVector, State, Subsystem
 from .schedule import AngleSequence, ScheduleConfig
 
 _SATURATION_GUARD = 0.5  # keep divergence fits clear of the d2 <= 2 ceiling
-
-
-class Subsystem(str, Enum):
-    HEAD = "head"
-    TAPE = "tape"
-    NETWORK = "network"
-
-
-class TrajectoryRecord(NamedTuple):
-    step: int
-    head: BlochVector
 
 
 @dataclass(frozen=True)
@@ -68,10 +57,10 @@ class DistanceTrace:
             raise KeyError(f"step {step} was not recorded")
         return self.d2[idx]
 
-    def presaturation_end(self, threshold: float = _SATURATION_GUARD) -> int:
-        """First recorded step whose d2 reaches ``threshold`` (or last step)."""
+    def presaturation_end(self) -> int:
+        """First recorded step whose d2 reaches the saturation guard (or last step)."""
         for n, d2 in zip(self.steps, self.d2):
-            if d2 >= threshold:
+            if d2 >= _SATURATION_GUARD:
                 return n
         return self.steps[-1]
 
@@ -81,20 +70,13 @@ def trajectory_bloch(
     initial: State,
     steps: int,
     record_every: int = 1,
-) -> Iterator[TrajectoryRecord]:
-    """Head Bloch vectors of a single trajectory, yielded as it advances:
-    every ``record_every`` steps and at the last step."""
-    spin_bloch, head = engine.spin_bloch, engine.Spin.HEAD
+) -> Iterator[tuple[int, BlochVector]]:
+    """(step, head Bloch vector) of a single trajectory, yielded as it
+    advances: every ``record_every`` steps and at the last step."""
+    spin_bloch = engine.spin_bloch
     for n, state in engine.iterate(seq, initial, steps):
         if n % record_every == 0 or n == steps:
-            yield TrajectoryRecord(n, spin_bloch(state, head))
-
-
-_SPIN = {
-    Subsystem.HEAD: engine.Spin.HEAD,
-    Subsystem.TAPE: engine.Spin.TAPE,
-    Subsystem.NETWORK: None,
-}
+            yield n, spin_bloch(state, "head")
 
 
 def distance_rows(cfg: ExperimentConfig) -> Iterator[tuple[int, float, float]]:
@@ -111,14 +93,14 @@ def distance_rows(cfg: ExperimentConfig) -> Iterator[tuple[int, float, float]]:
     state_a = engine.init_state(0.0)
     state_b = engine.init_state(cfg.schedule.delta)
 
-    spin, metrics = _SPIN[cfg.subsystem], engine.pair_metrics
+    subsystem, metrics = cfg.subsystem, engine.pair_metrics
     steps, every = cfg.steps, cfg.record_every
-    yield (0, *metrics(state_a, state_b, spin))
+    yield (0, *metrics(state_a, state_b, subsystem))
     iter_a = engine.iterate(seq_a, state_a, steps)
     iter_b = engine.iterate(seq_b, state_b, steps)
     for (n, sa), (_, sb) in zip(iter_a, iter_b):
         if n % every == 0 or n == steps:
-            yield (n, *metrics(sa, sb, spin))
+            yield (n, *metrics(sa, sb, subsystem))
 
 
 def distance_trace(cfg: ExperimentConfig) -> DistanceTrace:
@@ -214,10 +196,10 @@ def _orbit_run(schedule: ScheduleConfig, m: int, delta: float) -> tuple[BlochVec
     seq = AngleSequence(replace(schedule, delta=delta))
     for n, state in engine.iterate(seq, engine.init_state(delta), 2 * m + 2):
         if n == 2:
-            tape_2 = engine.spin_bloch(state, engine.Spin.TAPE).s3
+            tape_2 = engine.spin_bloch(state, "tape").s3
         if n == 2 * m:
-            head = engine.spin_bloch(state, engine.Spin.HEAD)
-    return head, tape_2, engine.spin_bloch(state, engine.Spin.TAPE).s3
+            head = engine.spin_bloch(state, "head")
+    return head, tape_2, engine.spin_bloch(state, "tape").s3
 
 
 def stability_numeric(

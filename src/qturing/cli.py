@@ -16,6 +16,7 @@ Exit codes: 0 success, 1 check failure, 2 usage or configuration error.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -337,7 +338,10 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``qturing`` parser, built on the first call and shared by every
+    later one: parsing reads it and changes nothing."""
     parser = _Parser(
         prog="qturing",
         description="Deterministic two-spin quantum Turing network toolkit.",

@@ -19,6 +19,10 @@ A state is a tuple of four Python complexes and a reduced density matrix
 a 2x2 tuple of tuples: at this size plain scalar arithmetic is faster than
 any array library.  All operations are pure functions of the state;
 independent trajectories can run in parallel without shared mutable state.
+
+A part of the network is a ``Subsystem`` member or its value: ``"head"`` or
+``"tape"`` names one spin, which every function taking a spin accepts, and
+``"network"`` names both, which only ``pair_metrics`` accepts.
 """
 from __future__ import annotations
 
@@ -52,9 +56,10 @@ class TapeState(str, Enum):
     MINUS = "minus"
 
 
-class Spin(str, Enum):
+class Subsystem(str, Enum):
     HEAD = "head"
     TAPE = "tape"
+    NETWORK = "network"
 
 
 class BlochVector(NamedTuple):
@@ -117,17 +122,17 @@ def iterate(seq: AngleSequence, state: State, n_steps: int) -> Iterator[tuple[in
         yield n_steps, apply_head_rotation(state, angle(n_steps // 2 + 1))
 
 
-def reduce_spin(state: State, spin: Spin | str) -> Matrix2:
+def reduce_spin(state: State, spin: Subsystem | str) -> Matrix2:
     """2x2 reduced density matrix of one spin (partial trace over the other).
 
     For the head rho_hh' = sum_t c[2h+t] conj(c[2h'+t]); the tape sums over
     the head index instead, which is the same formula with c1 and c2 swapped.
     """
     c0, c1, c2, c3 = state
-    if spin == "tape":  # a Spin member equals its value
+    if spin == "tape":  # a Subsystem member equals its value
         c1, c2 = c2, c1
     elif spin != "head":
-        Spin(spin)  # raises ValueError
+        raise ValueError(f"spin must be 'head' or 'tape', got {spin!r}")
     k0, k1, k2, k3 = c0.conjugate(), c1.conjugate(), c2.conjugate(), c3.conjugate()
     return ((c0 * k0 + c1 * k1, c0 * k2 + c1 * k3), (c2 * k0 + c3 * k1, c2 * k2 + c3 * k3))
 
@@ -149,7 +154,7 @@ def bloch_vector(rho: Matrix2) -> BlochVector:
     return BlochVector(v1.real, v2.real, v3.real)
 
 
-def spin_bloch(state: State, spin: Spin | str) -> BlochVector:
+def spin_bloch(state: State, spin: Subsystem | str) -> BlochVector:
     """Bloch vector of one spin, straight from the four amplitudes.
 
     The value of ``bloch_vector(reduce_spin(state, spin))``, summed without
@@ -162,7 +167,7 @@ def spin_bloch(state: State, spin: Spin | str) -> BlochVector:
     if spin == "tape":
         c1, c2 = c2, c1
     elif spin != "head":
-        Spin(spin)  # raises ValueError
+        raise ValueError(f"spin must be 'head' or 'tape', got {spin!r}")
     r = c0 * c2.conjugate() + c1 * c3.conjugate()
     p0 = (c0 * c0.conjugate()).real + (c1 * c1.conjugate()).real
     p1 = (c2 * c2.conjugate()).real + (c3 * c3.conjugate()).real
@@ -185,13 +190,11 @@ def distance_sq(rho_a: Matrix2, rho_b: Matrix2) -> float:
     return total
 
 
-def pair_metrics(
-    state_a: State, state_b: State, spin: Spin | str | None = None
-) -> tuple[float, float]:
+def pair_metrics(state_a: State, state_b: State, subsystem: Subsystem | str) -> tuple[float, float]:
     """Squared distance and squared overlap of two network states.
 
-    Returns (d2, |<b|a>|^2).  With ``spin`` None d2 is the network distance
-    2 (1 - |<b|a>|^2); otherwise it is Tr[(rho_a - rho_b)^2] for the reduced
+    Returns (d2, |<b|a>|^2).  For ``"network"`` d2 is the network distance
+    2 (1 - |<b|a>|^2); for a spin it is Tr[(rho_a - rho_b)^2] for the reduced
     state of that spin, i.e. the value of ``distance_sq`` on the two
     ``reduce_spin`` matrices, summed straight from the eight amplitudes
     without forming the matrices.  For the head
@@ -204,12 +207,12 @@ def pair_metrics(
     b0c, b1c, b2c, b3c = b0.conjugate(), b1.conjugate(), b2.conjugate(), b3.conjugate()
     z = b0c * a0 + b1c * a1 + b2c * a2 + b3c * a3
     ov = z.real * z.real + z.imag * z.imag
-    if spin is None:
+    if subsystem == "network":
         return 2.0 * (1.0 - ov), ov
-    if spin == "tape":
+    if subsystem == "tape":
         a1, a2, b1, b2, b1c, b2c = a2, a1, b2, b1, b2c, b1c
-    elif spin != "head":
-        Spin(spin)  # raises ValueError
+    elif subsystem != "head":
+        raise ValueError(f"subsystem must be 'head', 'tape' or 'network', got {subsystem!r}")
     a0c, a1c, a2c, a3c = a0.conjugate(), a1.conjugate(), a2.conjugate(), a3.conjugate()
     d00 = (a0 * a0c + a1 * a1c).real - (b0 * b0c + b1 * b1c).real
     d11 = (a2 * a2c + a3 * a3c).real - (b2 * b2c + b3 * b3c).real

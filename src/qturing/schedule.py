@@ -14,9 +14,12 @@ the additive recurrences.
 
 When alpha1 is declared as an exact rational multiple of pi via
 ``exact=(p, q)``, every Fibonacci-mode angle and cumulative rotation is a
-closed form in integer Fibonacci residues mod 2q, so arbitrarily long
-periodic runs carry no float drift.  The seed term delta * F_k mod 2*pi of
-a nonzero delta is a float recurrence on every schedule.
+closed form in integer Fibonacci residues mod 2q, read from one carried
+residue pair, so arbitrarily long periodic runs carry no float drift.  Each
+command reads the pair at the same index or one index up, one addition;
+any other move re-seeds it with one fast-doubling walk.  The seed term
+delta * F_k mod 2*pi of a nonzero delta is a float recurrence on every
+schedule.
 """
 from __future__ import annotations
 
@@ -133,22 +136,18 @@ class ScheduleConfig:
         return cls(mode=mode, alpha1=(p / q) * math.pi, delta=delta, exact=(p, q))
 
 
-#: longest forward move of a carried residue pair by additions; a longer or
-#: backward move re-seeds it from one fib_pair_mod walk
-_MAX_ADVANCE = 64
-
 #: float angles the float backend appends per block when a read runs past its cache
 _GROW_BLOCK = 256
 
 
 def _residues(pair: list[int], m: int, mod: int) -> tuple[int, int]:
-    """Move a carried pair [k, F_{k-1}, F_k] mod ``mod`` to index m >= 0 and
-    return (F_{m-1}, F_m), with F_{-1} = 1."""
+    """Move the carried pair [k, F_{k-1}, F_k] mod ``mod`` to index m >= 0 and
+    return (F_{m-1}, F_m), with F_{-1} = 1: one addition for m = k + 1, one
+    fib_pair_mod walk for any move but 0 or +1."""
     k, prev, cur = pair
-    if 0 <= m - k <= _MAX_ADVANCE:
-        for _ in range(m - k):
-            prev, cur = cur, (prev + cur) % mod
-    else:
+    if m == k + 1:
+        prev, cur = cur, (prev + cur) % mod
+    elif m != k:
         prev, cur = fib_pair_mod(m - 1, mod) if m else (1, 0)
     pair[:] = m, prev, cur
     return prev, cur
@@ -159,9 +158,9 @@ class AngleSequence:
     """Iterator state of one schedule on one of two backends, chosen once.
 
     An exact Fibonacci schedule answers every query in closed form from the
-    integer residues (F_{m-1}, F_m) mod 2q of two carried pairs, one for
-    angles and one for cumulatives, which ascending queries advance by
-    additions.  Any other schedule caches its float angles, grown in blocks
+    integer residues (F_{m-1}, F_m) mod 2q of one carried pair, which a
+    query at the same index reads and a query one index up advances by one
+    addition.  Any other schedule caches its float angles, grown in blocks
     of _GROW_BLOCK, and their running sums as far as a cumulative query
     reads them, so a cached angle is one list read.  A nonzero delta adds
     the seed term delta * F_k mod 2*pi, a float recurrence cached as far as
@@ -180,7 +179,7 @@ class AngleSequence:
         # (p, q) on the exact backend, None on the float one
         self._exact = cfg.exact if cfg.mode is ScheduleMode.FIBONACCI else None
         if self._exact is not None:
-            self._angle_pair, self._cum_pair = [0, 1, 0], [0, 1, 0]
+            self._pair = [0, 1, 0]  # [k, F_{k-1}, F_k] mod 2q
             return
         a1 = wrap_angle(cfg.alpha1)
         self._ang = [a0, a1]                        # emitted angles, index m >= 0
@@ -235,7 +234,7 @@ class AngleSequence:
                 self._grow(m)
                 return self._ang[m]
         p, q = self._exact
-        f = _residues(self._angle_pair, m, 2 * q)[1]
+        f = _residues(self._pair, m, 2 * q)[1]
         return wrap_angle(math.pi * ((p * f) % (2 * q)) / q + self._seed(m - 1))
 
     def cumulative_plus(self, m: int) -> float:
@@ -251,7 +250,7 @@ class AngleSequence:
             self._sums(m)
             return self._cum[m]
         p, q = self._exact
-        f_prev, f = _residues(self._cum_pair, m, 2 * q)
+        f_prev, f = _residues(self._pair, m, 2 * q)
         # sum_{j<=m} F_j = F_{m+2} - 1 and F_{m+2} = F_{m-1} + 2 F_m
         r = (p * (f_prev + 2 * f - 1)) % (2 * q)
         return wrap_angle(math.pi * r / q + self._seed(m + 1))
@@ -270,11 +269,11 @@ class AngleSequence:
         m = (n + 1) // 2
         if self._exact is None:
             self._sums(m)
-            sign = 1.0 if m % 2 == 0 else -1.0
-            even = wrap_angle(sign * self._ang[0] - (-1.0) ** m * self._alt[m])
+            a0, alt = self._ang[0], self._alt[m]
+            even = wrap_angle(a0 - alt if m % 2 == 0 else alt - a0)
         else:
             p, q = self._exact
-            f = _residues(self._cum_pair, m, 2 * q)[0]
+            f = _residues(self._pair, m, 2 * q)[0]
             r = (p * ((1 - f) if m % 2 == 0 else -(f + 1))) % (2 * q)
             even = wrap_angle(math.pi * r / q - self._seed(m - 2))
         return even if n % 2 == 0 else wrap_angle(-even)

@@ -27,6 +27,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+from qturing.cli import main as qturing_main
+
 GOLDEN = Path(__file__).resolve().parent / "golden.json"
 
 #: README's command-line examples, exactly as written there
@@ -121,15 +123,13 @@ def _file_hash(path: Path) -> str:
 def run_one(argv: list[str], workdir: Path) -> dict:
     """Exit code, stderr and output hashes of ``qturing <argv>`` run in
     ``workdir``, an empty directory."""
-    from qturing.cli import main
-
     out, err = io.StringIO(), io.StringIO()
     cwd = os.getcwd()
     os.chdir(workdir)
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
-                code = main(list(argv))
+                code = qturing_main(list(argv))
             except SystemExit as exc:
                 code = exc.code
     finally:

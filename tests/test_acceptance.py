@@ -19,7 +19,7 @@ from qturing.analysis import (
     lyapunov_estimate,
     stability_numeric,
 )
-from qturing.engine import Spin, TapeState
+from qturing.engine import TapeState
 from qturing.oracle import SuperpositionWeights
 from qturing.schedule import (
     LOG_GOLDEN_RATIO,
@@ -44,8 +44,8 @@ def _schedule(alpha1_spec, delta=0.0, mode=ScheduleMode.FIBONACCI):
 
 
 def _head_tape(state):
-    head = engine.bloch_vector(engine.reduce_spin(state, Spin.HEAD))
-    tape = engine.bloch_vector(engine.reduce_spin(state, Spin.TAPE))
+    head = engine.bloch_vector(engine.reduce_spin(state, Subsystem.HEAD))
+    tape = engine.bloch_vector(engine.reduce_spin(state, Subsystem.TAPE))
     return head, tape
 
 
@@ -348,7 +348,7 @@ def test_criterion_7_property_suites():
     sa, sb = engine.init_state(0.0), engine.init_state(0.001)
     it_a, it_b = engine.iterate(seq_a, sa, 500), engine.iterate(seq_b, sb, 500)
     for (n, xa), (_, xb) in zip(it_a, it_b):
-        for spin in Spin:
+        for spin in ("head", "tape"):
             d2 = engine.distance_sq(
                 engine.reduce_spin(xa, spin), engine.reduce_spin(xb, spin)
             )

@@ -308,6 +308,6 @@ def test_tape_stability_rejects_degenerate_angle():
 def test_trajectory_bloch_record_shape():
     seq = AngleSequence(TWO_FIFTHS_PI)
     recs = list(trajectory_bloch(seq, engine.init_state(0.0), 20, record_every=5))
-    assert [r.step for r in recs] == [5, 10, 15, 20]
-    for r in recs:
-        assert abs(r.head.s1) < 1e-12
+    assert [n for n, _ in recs] == [5, 10, 15, 20]
+    for _, head in recs:
+        assert abs(head.s1) < 1e-12

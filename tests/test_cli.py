@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qturing import analysis, engine, oracle
+from qturing import analysis, cli, engine, oracle, schedule
 from qturing.cli import main, parse_alpha1
 from qturing.schedule import ScheduleMode, fib
 
@@ -129,7 +129,7 @@ def test_pattern_bytes_match_density_matrix_route(tmp_path, argv):
     lines = ["n,s1,s2,s3,purity"]
     for n, state in engine.iterate(seq, initial, steps):
         if n % every == 0 or n == steps:
-            h = engine.bloch_vector(engine.reduce_spin(state, engine.Spin.HEAD))
+            h = engine.bloch_vector(engine.reduce_spin(state, engine.Subsystem.HEAD))
             lines.append(f"{n},{h.s1:.17g},{h.s2:.17g},{h.s3:.17g},{h.length_sq():.17g}")
     assert out.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
 
@@ -381,8 +381,8 @@ def test_oracle_check_bytes_match_density_matrix_route(tmp_path, alpha1, delta, 
     weights = oracle.SuperpositionWeights(1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0))
     max_dev, first_fail = 0.0, None
     for n, state in engine.iterate(seq, engine.init_state(float(delta)), steps):
-        head = engine.bloch_vector(engine.reduce_spin(state, engine.Spin.HEAD))
-        tape = engine.bloch_vector(engine.reduce_spin(state, engine.Spin.TAPE))
+        head = engine.bloch_vector(engine.reduce_spin(state, engine.Subsystem.HEAD))
+        tape = engine.bloch_vector(engine.reduce_spin(state, engine.Subsystem.TAPE))
         pred = oracle.head_bloch_superposed(seq, weights, n)
         devs = [abs(h - p) for h, p in zip(head, pred)]
         devs += [abs(tape.s1), abs(tape.s2), abs(tape.s3 - oracle.tape_sigma3(seq, n))]
@@ -800,6 +800,69 @@ def test_csv_floats_carry_17_significant_digits(tmp_path):
     # written with %.17g: parsing and re-formatting reproduces the field
     assert row["s2"] == f"{float(row['s2']):.17g}"
     assert len(row["s2"].lstrip("-0.")) >= 16
+
+
+def test_each_call_gets_its_own_defaults(tmp_path):
+    # main shares one parser across calls: no value given to one call, and no
+    # default of one subcommand, may reach a later call
+    assert cli.build_parser() is cli.build_parser()
+
+    def run(command, name, *extra):
+        assert run_cli(command, "--alpha1", "2/5", *extra, "--out", str(tmp_path / name)) == 0
+        manifest = json.loads((tmp_path / f"{name}.manifest.json").read_text(encoding="utf-8"))
+        return manifest["config"], (tmp_path / name).read_text(encoding="utf-8")
+
+    run("pattern", "p1.csv", "--steps", "5")
+    run("oracle-check", "o1.json", "--steps", "6", "--delta", "0.2")
+    run("distance", "d1.csv", "--steps", "7", "--delta", "0.3")
+    config, _ = run("pattern", "p2.csv")
+    assert config["steps"] == 10000 and config["schedule"]["delta"] == 0.0
+    config, report = run("oracle-check", "o2.json")
+    assert config["steps"] == 2000 and json.loads(report)["delta"] == 0.0
+    config, _ = run("distance", "d2.csv")
+    assert config["steps"] == 200 and config["delta"] == 0.001
+
+
+#: command lines whose exact schedules read each residue index once or one up
+#: from the last, which the carried pair serves without a Fibonacci walk
+_IN_ORDER = [
+    ["oracle-check", "--alpha1", "123/257", "--delta", "1e-3", "--steps", "2001"],
+    *(["distance", "--alpha1", "2/5", "--delta", "1e-3", "--steps", "999",
+       "--subsystem", sub, "--out", "d.csv"] for sub in ("head", "tape", "network")),
+    ["pattern", "--alpha1", "3/7", "--steps", "2001", "--out", "p.csv"],
+]
+
+
+def _count_walks(monkeypatch):
+    """Record the n of every schedule.fib_pair_mod call in the returned list."""
+    walks, real = [], schedule.fib_pair_mod
+    monkeypatch.setattr(schedule, "fib_pair_mod", lambda n, mod: walks.append(n) or real(n, mod))
+    return walks
+
+
+@pytest.mark.parametrize("argv", _IN_ORDER, ids=lambda argv: " ".join(argv[:1] + argv[-3:]))
+def test_commands_read_the_schedule_without_walks(tmp_path, monkeypatch, argv):
+    walks = _count_walks(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(*argv) == 0
+    assert walks == []
+
+
+def test_stability_walks_at_most_once_per_sequence(monkeypatch):
+    # stability_limits reads a fresh sequence far ahead: one walk, and no more
+    walks = _count_walks(monkeypatch)
+    per_pair, pairs, real = {}, [], schedule._residues
+
+    def residues(pair, m, mod):
+        before = len(walks)
+        out = real(pair, m, mod)
+        pairs.append(pair)  # held, so that no later pair reuses its id
+        per_pair[id(pair)] = per_pair.get(id(pair), 0) + len(walks) - before
+        return out
+
+    monkeypatch.setattr(schedule, "_residues", residues)
+    assert run_cli("stability", "--alpha1", "2/5", "--m", "20") == 0
+    assert walks and max(per_pair.values()) == 1
 
 
 # --- fuzzing ---------------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from qturing.engine import (
     SIGMA2,
     SIGMA3,
     BlochVector,
-    Spin,
+    Subsystem,
     TapeState,
     apply_head_rotation,
     apply_qcnot,
@@ -118,7 +118,7 @@ def test_rotation_identity():
 
 def test_rotation_quarter_turn_bloch():
     state = apply_head_rotation(init_state(0.0), math.pi / 2)
-    b = bloch_vector(reduce_spin(state, Spin.HEAD))
+    b = bloch_vector(reduce_spin(state, Subsystem.HEAD))
     np.testing.assert_allclose(b, (0.0, 1.0, 0.0), atol=1e-15)
 
 
@@ -151,8 +151,8 @@ def test_qcnot_leaves_plus_tape_invariant(phi):
 @given(phi=angle_strategy)
 def test_qcnot_acts_as_sigma3_on_minus_tape(phi):
     state = init_state(phi, TapeState.MINUS)
-    before = bloch_vector(reduce_spin(state, Spin.HEAD))
-    after = bloch_vector(reduce_spin(apply_qcnot(state), Spin.HEAD))
+    before = bloch_vector(reduce_spin(state, Subsystem.HEAD))
+    after = bloch_vector(reduce_spin(apply_qcnot(state), Subsystem.HEAD))
     np.testing.assert_allclose(
         after, (-before.s1, -before.s2, before.s3), atol=1e-12
     )
@@ -175,7 +175,7 @@ def test_run_zero_steps():
 def test_run_two_steps_maximally_entangling():
     # quarter-turn then conditional flip leaves the head fully mixed
     final = run(fib_seq(math.pi / 2), init_state(0.0), 2)
-    b = bloch_vector(reduce_spin(final, Spin.HEAD))
+    b = bloch_vector(reduce_spin(final, Subsystem.HEAD))
     np.testing.assert_allclose(b, (0.0, 0.0, 0.0), atol=1e-15)
 
 
@@ -183,9 +183,9 @@ def test_run_zero_angle_fixed_mode_alternates_tape():
     seq = AngleSequence(ScheduleConfig(ScheduleMode.FIXED, 0.0))
     expected = {1: -1.0, 2: 1.0, 3: 1.0, 4: -1.0, 5: -1.0, 6: 1.0}
     for n, state in iterate(seq, init_state(0.0), 6):
-        tape = bloch_vector(reduce_spin(state, Spin.TAPE))
+        tape = bloch_vector(reduce_spin(state, Subsystem.TAPE))
         assert tape.s3 == pytest.approx(expected[n], abs=1e-15)
-        head = bloch_vector(reduce_spin(state, Spin.HEAD))
+        head = bloch_vector(reduce_spin(state, Subsystem.HEAD))
         np.testing.assert_allclose(head, (0.0, 0.0, -1.0), atol=1e-15)
 
 
@@ -214,20 +214,20 @@ def test_iterate_matches_gate_by_gate(config, n_steps):
 # --- reductions and Bloch vectors ------------------------------------------------
 
 def test_reduce_product_state_is_pure():
-    rho = reduce_spin(init_state(0.0), Spin.HEAD)
+    rho = reduce_spin(init_state(0.0), Subsystem.HEAD)
     np.testing.assert_allclose(rho, [[1, 0], [0, 0]], atol=1e-16)
 
 
 def test_reduce_bell_like_state_is_maximally_mixed():
     state = np.array([0.0, 1.0, -1j, 0.0]) / math.sqrt(2)
-    rho = reduce_spin(state, Spin.HEAD)
+    rho = reduce_spin(state, Subsystem.HEAD)
     np.testing.assert_allclose(rho, I2 / 2, atol=1e-15)
 
 
 @settings(max_examples=50, deadline=None)
 @given(state=state_strategy)
 def test_reduce_traces_are_one(state):
-    for spin in Spin:
+    for spin in (Subsystem.HEAD, Subsystem.TAPE):
         assert reduce_spin(state, spin.value) == reduce_spin(state, spin)
         rho = np.array(reduce_spin(state, spin))
         assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
@@ -258,7 +258,7 @@ def test_bloch_rejects_corrupted_density_matrix():
 @settings(max_examples=50, deadline=None)
 @given(state=state_strategy)
 def test_bloch_length_bounded(state):
-    for spin in Spin:
+    for spin in ("head", "tape"):
         b = bloch_vector(reduce_spin(state, spin))
         assert b.length_sq() <= 1.0 + 1e-12
 
@@ -266,7 +266,7 @@ def test_bloch_length_bounded(state):
 # --- metrics ----------------------------------------------------------------------
 
 def test_distance_identical_states():
-    rho = reduce_spin(init_state(0.3), Spin.HEAD)
+    rho = reduce_spin(init_state(0.3), Subsystem.HEAD)
     assert distance_sq(rho, rho) == 0.0
 
 
@@ -290,7 +290,7 @@ def test_distance_rejects_dimension_mismatch():
 @settings(max_examples=50, deadline=None)
 @given(sa=state_strategy, sb=state_strategy)
 def test_distance_symmetric_and_bounded(sa, sb):
-    for spin in Spin:
+    for spin in ("head", "tape"):
         ra, rb = reduce_spin(sa, spin), reduce_spin(sb, spin)
         d = distance_sq(ra, rb)
         assert 0.0 <= d <= 2.0 + 1e-12
@@ -334,7 +334,7 @@ def test_unitarity_over_long_run():
 def test_primitive_states_stay_pure_on_the_circle(phi0, tape):
     seq = fib_seq(0.3)
     for n, state in iterate(seq, init_state(phi0, tape), 500):
-        b = bloch_vector(reduce_spin(state, Spin.HEAD))
+        b = bloch_vector(reduce_spin(state, Subsystem.HEAD))
         assert abs(b.length_sq() - 1.0) < 1e-10
         assert abs(b.s1) < 1e-10
 
@@ -342,8 +342,8 @@ def test_primitive_states_stay_pure_on_the_circle(phi0, tape):
 def test_in_plane_confinement_from_ground_product_state():
     seq = fib_seq(1.1)
     for n, state in iterate(seq, init_state(0.0), 500):
-        head = bloch_vector(reduce_spin(state, Spin.HEAD))
-        tape = bloch_vector(reduce_spin(state, Spin.TAPE))
+        head = bloch_vector(reduce_spin(state, Subsystem.HEAD))
+        tape = bloch_vector(reduce_spin(state, Subsystem.TAPE))
         assert abs(head.s1) < 1e-10
         assert abs(tape.s1) < 1e-10 and abs(tape.s2) < 1e-10
 
@@ -389,14 +389,14 @@ def test_qcnot_matrix_is_self_inverse():
 @given(sa=state_strategy, sb=state_strategy)
 def test_pair_metrics_match_density_matrix_route(sa, sb):
     ov_ref = overlap_sq(sa, sb)
-    for spin in (Spin.HEAD, Spin.TAPE, "head", "tape"):
+    for spin in (Subsystem.HEAD, Subsystem.TAPE, "head", "tape"):
         d2, ov = pair_metrics(sa, sb, spin)
         ref = distance_sq(reduce_spin(sa, spin), reduce_spin(sb, spin))
         # both routes round within ~3 ulp of the exact value, so they can
         # differ by 5 ulp (1.1e-15) where d2 lies in (1, 2]
         assert d2 == pytest.approx(ref, rel=1e-15, abs=1e-15)
         assert abs(ov - ov_ref) <= 1e-15
-    d2, ov = pair_metrics(sa, sb)
+    d2, ov = pair_metrics(sa, sb, "network")
     assert abs(ov - ov_ref) <= 1e-15
     assert d2 == 2.0 * (1.0 - ov)
 
@@ -422,9 +422,9 @@ _OV_REL_BOUND = (1 + _gamma(8)) ** 2 * (1 + _gamma(2)) - 1
                 complex(0.3723327249288464, 0.4036195876507464),
                 complex(0.24854461369440328, 0.29623636377956114)))
 def test_pair_metrics_vanish_for_identical_states(state):
-    for spin in (Spin.HEAD, Spin.TAPE, "head", "tape"):
+    for spin in (Subsystem.HEAD, Subsystem.TAPE, "head", "tape"):
         assert pair_metrics(state, state, spin)[0] == 0.0
-    d2, ov = pair_metrics(state, state)
+    d2, ov = pair_metrics(state, state, "network")
     # the network distance is 2 (1 - |<a|a>|^2): zero up to the rounding of the
     # norm, so ov is held to the exact |<a|a>|^2 of the drawn, already rounded
     # state, not to 1.0, within the error bound of the formula that sums it
@@ -438,24 +438,26 @@ def test_one_schedule_keeps_network_overlap():
     # overlap is conserved, whatever the states
     seq = AngleSequence(ScheduleConfig.exact_pi(2, 5))
     a, b = init_state(0.0), init_state(0.001)
-    ov0 = pair_metrics(a, b)[1]
+    ov0 = pair_metrics(a, b, "network")[1]
     for (_, sa), (_, sb) in zip(iterate(seq, a, 200), iterate(seq, b, 200)):
-        assert abs(pair_metrics(sa, sb)[1] - ov0) < 1e-10
+        assert abs(pair_metrics(sa, sb, "network")[1] - ov0) < 1e-10
 
 
 def test_pair_metrics_tape_is_not_head():
     # tape flipped, head untouched: only the tape and network distances move
     a = init_state(0.3)
     b = init_state(0.3, TapeState.PLUS_ONE)
-    for head, tape in ((Spin.HEAD, Spin.TAPE), ("head", "tape")):
+    for head, tape in ((Subsystem.HEAD, Subsystem.TAPE), ("head", "tape")):
         assert pair_metrics(a, b, head)[0] == pytest.approx(0.0, abs=1e-15)
         assert pair_metrics(a, b, tape)[0] == pytest.approx(2.0, abs=1e-15)
-    assert pair_metrics(a, b) == pytest.approx((2.0, 0.0), abs=1e-15)
+    assert pair_metrics(a, b, "network") == pytest.approx((2.0, 0.0), abs=1e-15)
 
 
 def test_pair_metrics_rejects_unknown_spin():
-    with pytest.raises(ValueError):
-        pair_metrics(init_state(0.0), init_state(0.1), "network")
+    # None meant "network" once; every subsystem is now named
+    for subsystem in ("arm", None):
+        with pytest.raises(ValueError, match="'head', 'tape' or 'network'"):
+            pair_metrics(init_state(0.0), init_state(0.1), subsystem)
 
 
 # --- Bloch vectors from amplitudes ----------------------------------------------
@@ -474,7 +476,7 @@ raw_state_strategy = st.tuples(
 @given(state=st.one_of(state_strategy, raw_state_strategy))
 def test_spin_bloch_matches_density_matrix_route(state):
     # the same floats, signed zeros included: compared by repr, not by value
-    for spin in (Spin.HEAD, Spin.TAPE, "head", "tape"):
+    for spin in (Subsystem.HEAD, Subsystem.TAPE, "head", "tape"):
         assert repr(spin_bloch(state, spin)) == repr(bloch_vector(reduce_spin(state, spin)))
 
 
@@ -484,7 +486,7 @@ def test_negated_sigma2_separates_the_bloch_routes(monkeypatch):
     state = init_state(0.3)
     s1, s2, s3 = PAULI
     monkeypatch.setattr(engine, "PAULI", (s1, tuple(tuple(-x for x in row) for row in s2), s3))
-    for spin in (Spin.HEAD, "head"):
+    for spin in (Subsystem.HEAD, "head"):
         amp = spin_bloch(state, spin)
         assert amp.s2 == pytest.approx(math.sin(0.3), abs=1e-15)
         assert bloch_vector(reduce_spin(state, spin)) == (amp.s1, -amp.s2, amp.s3)
@@ -492,16 +494,16 @@ def test_negated_sigma2_separates_the_bloch_routes(monkeypatch):
 
 def test_spin_bloch_of_zero_amplitudes_has_no_negative_zero():
     state = (complex(-0.0, -0.0), complex(0.0, -0.0), complex(-0.0, 0.0), -0j)
-    for spin in (Spin.HEAD, Spin.TAPE, "head", "tape"):
+    for spin in (Subsystem.HEAD, Subsystem.TAPE, "head", "tape"):
         assert repr(spin_bloch(state, spin)) == "BlochVector(s1=0.0, s2=0.0, s3=0.0)"
 
 
 def test_spin_bloch_rejects_unknown_spin():
-    for spin in ("network", None):
-        with pytest.raises(ValueError):
-            spin_bloch(init_state(0.0), spin)
-        with pytest.raises(ValueError):
-            reduce_spin(init_state(0.0), spin)
+    # the network is a subsystem but not a spin: one error line, naming both spins
+    for spin in (Subsystem.NETWORK, "network", "arm", None):
+        for route in (spin_bloch, reduce_spin):
+            with pytest.raises(ValueError, match="^spin must be 'head' or 'tape', got .+$"):
+                route(init_state(0.0), spin)
 
 
 def test_gates_return_complex_4_tuples():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from reference import TWO_PI_40, orbit_conditions_three_walks
 
 from qturing import engine, oracle
-from qturing.engine import Spin, TapeState
+from qturing.engine import Subsystem, TapeState
 from qturing.oracle import (
     SuperpositionWeights,
     delta_c,
@@ -76,7 +76,7 @@ def test_primitive_matches_simulation(delta, tape, branch):
     state = engine.init_state(delta, tape)
     worst = 0.0
     for n, st in engine.iterate(seq, state, 2000):
-        sim = engine.bloch_vector(engine.reduce_spin(st, Spin.HEAD))
+        sim = engine.bloch_vector(engine.reduce_spin(st, Subsystem.HEAD))
         pred = head_bloch_superposed(seq, UNIT_WEIGHTS[branch], n)
         worst = max(worst, *(abs(a - b) for a, b in zip(sim, pred)))
     assert worst < 1e-9
@@ -157,7 +157,7 @@ def test_tape_sigma3_second_cycle():
 def test_tape_sigma3_matches_simulation(delta):
     seq = fib_seq(0.3, delta=delta)
     for n, st in engine.iterate(seq, engine.init_state(delta), 200):
-        sim = engine.bloch_vector(engine.reduce_spin(st, Spin.TAPE))
+        sim = engine.bloch_vector(engine.reduce_spin(st, Subsystem.TAPE))
         assert abs(sim.s3 - tape_sigma3(seq, n)) < 1e-10
         assert abs(sim.s1) < 1e-12 and abs(sim.s2) < 1e-12
 
@@ -183,7 +183,7 @@ def test_orbit_half_pi_period_matches_simulation():
     seq = AngleSequence(ScheduleConfig.exact_pi(1, 2))
     pts = []
     for n, st in engine.iterate(seq, engine.init_state(0.0), 48):
-        b = engine.bloch_vector(engine.reduce_spin(st, Spin.HEAD))
+        b = engine.bloch_vector(engine.reduce_spin(st, Subsystem.HEAD))
         pts.append((b.s2, b.s3))
     for n in range(24):
         assert abs(pts[n][0] - pts[n + 12][0]) < 1e-12
@@ -441,9 +441,9 @@ def test_oracle_matches_simulation(alpha1, delta):
     state = engine.init_state(delta)
     worst = 0.0
     for n, st in engine.iterate(seq, state, 400):
-        head = engine.bloch_vector(engine.reduce_spin(st, Spin.HEAD))
+        head = engine.bloch_vector(engine.reduce_spin(st, Subsystem.HEAD))
         pred = head_bloch_superposed(seq, EQUAL_WEIGHTS, n)
-        tape = engine.bloch_vector(engine.reduce_spin(st, Spin.TAPE))
+        tape = engine.bloch_vector(engine.reduce_spin(st, Subsystem.TAPE))
         worst = max(
             worst,
             abs(head.s1 - pred.s1),

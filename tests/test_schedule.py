@@ -428,9 +428,12 @@ def _assert_ascending_growth_needs_no_fib_mod(monkeypatch, delta):
     monkeypatch.setattr(schedule, "fib_mod", lambda n, mod: calls.append(n) or fib_mod(n, mod))
     monkeypatch.setattr(schedule, "fib_pair_mod",
                         lambda n, mod: calls.append(n) or fib_pair_mod(n, mod))
-    for m in range(1, 2001):
-        seq.angle(m)
-        seq.cumulative_plus(m // 2)
+    # cmd_oracle_check's order: both cumulatives at step n, then the angle the
+    # tape prediction reads
+    for n in range(4001):
+        seq.cumulative_plus((n + 1) // 2)
+        seq.cumulative_minus(n)
+        seq.angle(n // 2 + 1)
     assert calls == []
     seq.angle(1)  # a backward move re-seeds with one walk, so the hook is live
     assert calls == [0]
