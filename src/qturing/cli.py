@@ -49,6 +49,12 @@ _CHUNK_ROWS = 4096
 #: (ExperimentConfig) needs two steps and a delta >= 0
 _MIN_STEPS = {"distance": 2, "lyapunov": 2}
 
+#: help texts shared by several subcommands; each states the bound main checks
+_ALPHA1_HELP = ("first rotation angle: a finite float, or p/q meaning (p/q)*pi exactly, "
+                "with 1 <= q <= 2**1020 after reduction")
+_OUT_HELP = "output file path, not a directory"
+_RECORD_EVERY_HELP = "record every k-th step, k >= 1 (default %(default)s)"
+
 
 def parse_alpha1(spec: str, mode: ScheduleMode, delta: float) -> ScheduleConfig:
     """Schedule config from an alpha1 spec, float or exact 'p/q' of pi; errors name --alpha1."""
@@ -95,6 +101,15 @@ def _chunks(lines: Iterable[str]) -> Iterator[str]:
         yield "\n".join(batch) + "\n"
 
 
+def _naming(path: Path, op, *args):
+    """``op(*args)``, whose OSError names ``path``, the requested output,
+    instead of the temporary file that ``op`` was given."""
+    try:
+        return op(*args)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
+
+
 def _write_output(path: Path, chunks: Iterable[str], command: str, config: dict) -> None:
     """Write the text ``chunks`` to ``path`` and its manifest: both or neither.
 
@@ -112,11 +127,7 @@ def _write_output(path: Path, chunks: Iterable[str], command: str, config: dict)
     placed = False
     try:
         digest = hashlib.sha256()
-        try:
-            fh = open(tmp_data, "xb")
-        except OSError as exc:  # name the requested output, not the temporary file
-            raise OSError(exc.errno, exc.strerror, str(path)) from None
-        with fh:
+        with _naming(path, open, tmp_data, "xb") as fh:
             for chunk in chunks:
                 data = chunk.encode("utf-8")
                 digest.update(data)
@@ -128,11 +139,11 @@ def _write_output(path: Path, chunks: Iterable[str], command: str, config: dict)
             "output": path.name,
             "sha256": digest.hexdigest(),
         }
-        with open(tmp_manifest, "xb") as fh:
+        with _naming(manifest_path, open, tmp_manifest, "xb") as fh:
             fh.write(_json(manifest).encode("utf-8"))
-        os.replace(tmp_data, path)
+        _naming(path, os.replace, tmp_data, path)
         placed = True
-        os.replace(tmp_manifest, manifest_path)
+        _naming(manifest_path, os.replace, tmp_manifest, manifest_path)
     except BaseException:
         stale = (path, manifest_path) if placed else ()
         for leftover in (tmp_data, tmp_manifest, *stale):
@@ -353,27 +364,28 @@ def build_parser() -> argparse.ArgumentParser:
         name: str, help: str, *, delta_default: float, out_required: bool = False
     ) -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=help)
-        sp.add_argument("--alpha1", required=True,
-                        help="first rotation angle: float, or p/q meaning (p/q)*pi exactly")
+        sp.add_argument("--alpha1", required=True, help=_ALPHA1_HELP)
         sp.add_argument("--delta", type=float, default=delta_default,
-                        help="seed/preparation perturbation (default %(default)s)")
+                        help="seed/preparation perturbation, finite"
+                        + (" and >= 0" if name in _MIN_STEPS else "") + " (default %(default)s)")
         sp.add_argument("--steps", type=int, default=200, help=f"number of gates to apply, "
                         f"{_MIN_STEPS.get(name, 1)} to 1e6 (default %(default)s)")
-        sp.add_argument("--out", required=out_required,
-                        help="output path" + ("" if out_required else " (default: report to stdout)"))
+        sp.add_argument("--out", required=out_required, help=_OUT_HELP
+                        + ("" if out_required else " (default: report to stdout)"))
         return sp
 
     sp = sub.add_parser("pattern", help="head Bloch scatter of a single trajectory")
-    sp.add_argument("--alpha1", required=True)
+    sp.add_argument("--alpha1", required=True, help=_ALPHA1_HELP)
     sp.add_argument("--steps", type=int, default=10000,
                     help="number of gates to apply, 1 to 1e6 (default %(default)s)")
     sp.add_argument("--mode", choices=[m.value for m in ScheduleMode],
                     default=ScheduleMode.FIBONACCI.value)
-    sp.add_argument("--head-angle", type=float, default=0.0)
+    sp.add_argument("--head-angle", type=float, default=0.0,
+                    help="head preparation angle, finite (default %(default)s)")
     sp.add_argument("--tape", choices=[t.value for t in TapeState],
                     default=TapeState.MINUS_ONE.value)
-    sp.add_argument("--record-every", type=int, default=1)
-    sp.add_argument("--out", required=True, help="output CSV path")
+    sp.add_argument("--record-every", type=int, default=1, help=_RECORD_EVERY_HELP)
+    sp.add_argument("--out", required=True, help=_OUT_HELP)
     sp.set_defaults(func=cmd_pattern)
 
     sp = add_common("distance", "distance trace between paired trajectories",
@@ -382,22 +394,24 @@ def build_parser() -> argparse.ArgumentParser:
                     default=ScheduleMode.FIBONACCI.value)
     sp.add_argument("--subsystem", choices=[s.value for s in Subsystem],
                     default=Subsystem.HEAD.value)
-    sp.add_argument("--record-every", type=int, default=1)
+    sp.add_argument("--record-every", type=int, default=1, help=_RECORD_EVERY_HELP)
     sp.set_defaults(func=cmd_distance)
 
     sp = sub.add_parser("stability", help="periodic-orbit stability report")
-    sp.add_argument("--alpha1", required=True, help="exact p/q of pi")
+    sp.add_argument("--alpha1", required=True,
+                    help="exact p/q of pi, with 1 <= q <= 2**1020 after reduction")
     sp.add_argument("--m", type=int, required=True,
                     help=f"cycle count, 1 to {oracle.MAX_CYCLE}; period is 2m")
     sp.add_argument("--deltas", type=_parse_deltas, default=[1e-4, 1e-5, 1e-6],
                     help="comma-separated perturbations, each in (0, 0.1] "
                     "(default 1e-4,1e-5,1e-6)")
-    sp.add_argument("--out")
+    sp.add_argument("--out", help=_OUT_HELP + " (default: report to stdout)")
     sp.set_defaults(func=cmd_stability)
 
     sp = add_common("oracle-check", "simulation vs closed-form comparison", delta_default=0.0)
     sp.set_defaults(steps=2000)
-    sp.add_argument("--tolerance", type=float, default=1e-9)
+    sp.add_argument("--tolerance", type=float, default=1e-9,
+                    help="largest deviation that passes, finite and >= 0 (default %(default)s)")
     sp.set_defaults(func=cmd_oracle_check)
 
     sp = add_common("lyapunov", "divergence-rate fit", delta_default=1e-8)
@@ -405,8 +419,10 @@ def build_parser() -> argparse.ArgumentParser:
                     default=ScheduleMode.FIBONACCI.value)
     sp.add_argument("--subsystem", choices=[s.value for s in Subsystem],
                     default=Subsystem.HEAD.value)
-    sp.add_argument("--fit-lo", type=int, default=5, help="first fit cycle")
-    sp.add_argument("--fit-hi", type=int, default=15, help="last fit cycle")
+    sp.add_argument("--fit-lo", type=int, default=5,
+                    help="first fit cycle, >= 0 (default %(default)s)")
+    sp.add_argument("--fit-hi", type=int, default=15,
+                    help="last fit cycle, >= --fit-lo (default %(default)s)")
     sp.set_defaults(func=cmd_lyapunov)
 
     return parser
@@ -418,6 +434,7 @@ def main(argv: list[str] | None = None) -> int:
     # every bounded option is checked once, before any work, and fails through
     # parser.error as argparse's own errors do: one error: line and exit 2
     opt = vars(args).get
+    out = opt("out")
     low = _MIN_STEPS.get(args.command, 1)
     for flag, bad, rule in [  # (option, value out of range, rule); NaN is out of range
         ("--steps", opt("steps", low) < low, f"must be >= {low}"),
@@ -434,6 +451,9 @@ def main(argv: list[str] | None = None) -> int:
          f"must be finite, got {opt('head_angle')}"),
         *(("--deltas", not 0.0 < d <= 0.1, f"values must lie in (0, 0.1], got {d}")
           for d in opt("deltas", ())),
+        # '', '.', '..', '/' and 'x/' name a directory, or nothing
+        ("--out", out is not None and os.path.basename(out) in ("", ".", ".."),
+         f"must name a file, got {out!r}"),
     ]:
         if bad:
             parser.error(f"{flag} {rule}")

@@ -17,9 +17,10 @@ When alpha1 is declared as an exact rational multiple of pi via
 closed form in integer Fibonacci residues mod 2q, read from one carried
 residue pair, so arbitrarily long periodic runs carry no float drift.  Each
 command reads the pair at the same index or one index up, one addition;
-any other move re-seeds it with one fast-doubling walk.  The seed term
-delta * F_k mod 2*pi of a nonzero delta is a float recurrence on every
-schedule.
+any other move re-seeds it with one fast-doubling walk.  One float list,
+grown by one recurrence, serves both backends: on the float backend it
+holds the angles a_m, and on the exact one the delta part
+delta * F_{k-1} mod 2*pi at index k, the float schedule at alpha1 = 0.
 """
 from __future__ import annotations
 
@@ -157,14 +158,15 @@ def _residues(pair: list[int], m: int, mod: int) -> tuple[int, int]:
 class AngleSequence:
     """Iterator state of one schedule on one of two backends, chosen once.
 
-    An exact Fibonacci schedule answers every query in closed form from the
-    integer residues (F_{m-1}, F_m) mod 2q of one carried pair, which a
-    query at the same index reads and a query one index up advances by one
-    addition.  Any other schedule caches its float angles, grown in blocks
-    of _GROW_BLOCK, and their running sums as far as a cumulative query
-    reads them, so a cached angle is one list read.  A nonzero delta adds
-    the seed term delta * F_k mod 2*pi, a float recurrence cached as far as
-    it is read.  Instances are single-owner: advance one sequence per thread.
+    Both keep one float list ``_ang`` grown by ``_grow``, in blocks of
+    _GROW_BLOCK.  On the float backend it holds the angles a_m, seeded
+    (delta, alpha1), beside their running sums as far as a cumulative query
+    reads them.  The exact Fibonacci backend answers every query in closed
+    form from the residues (F_{m-1}, F_m) mod 2q of one carried pair, moved
+    by one addition per index up; its list is the float schedule at
+    alpha1 = 0, whose entry k + 1 is the delta part delta * F_k mod 2*pi,
+    and at delta = 0 it keeps 0.0 and grows nothing.  Instances are
+    single-owner: advance one sequence per thread.
     """
 
     config: ScheduleConfig
@@ -172,14 +174,12 @@ class AngleSequence:
     def __post_init__(self) -> None:
         cfg = self.config
         a0 = wrap_angle(cfg.delta)
-        # delta * F_k mod 2*pi at index k + 2, from F_{-2} = -1 and F_{-1} = 1;
-        # at delta = 0 every seed term is 0.0 and the list never grows
-        self._dfib = [wrap_angle(-cfg.delta), a0, 0.0, a0]
-        self._seed = self._seed_term if cfg.delta else lambda k: 0.0
         # (p, q) on the exact backend, None on the float one
         self._exact = cfg.exact if cfg.mode is ScheduleMode.FIBONACCI else None
         if self._exact is not None:
             self._pair = [0, 1, 0]  # [k, F_{k-1}, F_k] mod 2q
+            self._ang = [a0, 0.0]   # delta * F_{k-1} mod 2*pi, index k >= 0
+            self._delta_part = self._delta_entry if cfg.delta else lambda k: 0.0
             return
         a1 = wrap_angle(cfg.alpha1)
         self._ang = [a0, a1]                        # emitted angles, index m >= 0
@@ -188,15 +188,16 @@ class AngleSequence:
 
     # -- recurrence -------------------------------------------------------
 
-    def _seed_term(self, k: int) -> float:
-        """delta * F_k mod 2*pi, k >= -2, grown by the float recurrence."""
-        dfib = self._dfib
-        while len(dfib) <= k + 2:
-            dfib.append(wrap_angle(dfib[-1] + dfib[-2]))
-        return dfib[k + 2]
+    def _delta_entry(self, k: int) -> float:
+        """Entry k >= 0 of the exact backend's list, delta * F_{k-1} mod 2*pi."""
+        try:
+            return self._ang[k]
+        except IndexError:
+            self._grow(k)
+            return self._ang[k]
 
     def _grow(self, m: int) -> None:
-        """Extend the float backend's angles through index m, in whole blocks."""
+        """Extend ``_ang`` through index m, in whole blocks."""
         ang = self._ang
         k = len(ang)
         if k > m:
@@ -235,12 +236,12 @@ class AngleSequence:
                 return self._ang[m]
         p, q = self._exact
         f = _residues(self._pair, m, 2 * q)[1]
-        return wrap_angle(math.pi * ((p * f) % (2 * q)) / q + self._seed(m - 1))
+        return wrap_angle(math.pi * ((p * f) % (2 * q)) / q + self._delta_part(m))
 
     def cumulative_plus(self, m: int) -> float:
         """Total rotation accrued by the tape-plus branch after 2m steps.
 
-        Equals a_0 + sum_{j=1..m} a_j mod 2*pi; the seed term makes the
+        Equals a_0 + sum_{j=1..m} a_j mod 2*pi; the delta part makes the
         delta-perturbed cumulative exceed the unperturbed one by exactly
         delta * F_{m+1}, matching the perturbed evolution it predicts.
         """
@@ -253,7 +254,7 @@ class AngleSequence:
         f_prev, f = _residues(self._pair, m, 2 * q)
         # sum_{j<=m} F_j = F_{m+2} - 1 and F_{m+2} = F_{m-1} + 2 F_m
         r = (p * (f_prev + 2 * f - 1)) % (2 * q)
-        return wrap_angle(math.pi * r / q + self._seed(m + 1))
+        return wrap_angle(math.pi * r / q + self._delta_part(m + 2))
 
     def cumulative_minus(self, n: int) -> float:
         """Cumulative angle of the tape-minus branch after n steps.
@@ -275,11 +276,7 @@ class AngleSequence:
             p, q = self._exact
             f = _residues(self._pair, m, 2 * q)[0]
             r = (p * ((1 - f) if m % 2 == 0 else -(f + 1))) % (2 * q)
-            even = wrap_angle(math.pi * r / q - self._seed(m - 2))
+            # delta * F_{m-2}; F_{-2} = -1 is the one index the list does not hold
+            d = self._delta_part(m - 1) if m else wrap_angle(-self.config.delta)
+            even = wrap_angle(math.pi * r / q - d)
         return even if n % 2 == 0 else wrap_angle(-even)
-
-    def delta_fib(self, m: int) -> float:
-        """Accumulated seed perturbation delta * F_m mod 2*pi, m >= 0."""
-        if m < 0:
-            raise ValueError(f"index must be >= 0, got {m}")
-        return self._seed(m)

@@ -25,8 +25,8 @@ def norm_sq(state: State) -> float:
 
 class EagerFloatSchedule:
     """Every query of a float-backend schedule through cycle ``top``, grown
-    one index at a time in one pass: angles, running sums and seed terms
-    from the same recurrences, additions and reductions the package uses."""
+    one index at a time in one pass: angles and running sums from the same
+    recurrences, additions and reductions the package uses."""
 
     def __init__(self, config: ScheduleConfig, top: int) -> None:
         a0 = wrap_angle(config.delta)
@@ -44,11 +44,7 @@ class EagerFloatSchedule:
             cum.append(wrap_angle(cum[k - 1] + nxt))
             alt.append(wrap_angle(alt[k - 1] - nxt if k % 2 else alt[k - 1] + nxt))
             prev2, prev1 = prev1, nxt
-        # delta * F_k mod 2*pi at index k + 2, from F_{-2} = -1 and F_{-1} = 1
-        dfib = [wrap_angle(-config.delta), a0, 0.0, a0]
-        while len(dfib) < top + 3:
-            dfib.append(wrap_angle(dfib[-1] + dfib[-2]))
-        self.ang, self.cum, self.alt, self.dfib = ang, cum, alt, dfib
+        self.ang, self.cum, self.alt = ang, cum, alt
 
     def angle(self, m: int) -> float:
         return self.ang[m]
@@ -61,9 +57,6 @@ class EagerFloatSchedule:
         sign = 1.0 if m % 2 == 0 else -1.0
         even = wrap_angle(sign * self.ang[0] - (-1.0) ** m * self.alt[m])
         return even if n % 2 == 0 else wrap_angle(-even)
-
-    def delta_fib(self, m: int) -> float:
-        return self.dfib[m + 2]
 
 
 def orbit_conditions_three_walks(p: int, q: int, m: int) -> tuple[bool, bool, bool]:

@@ -571,12 +571,24 @@ def test_exact_denominator_beyond_double_range_is_usage_error(tmp_path, capsys, 
 
 
 def test_help_states_the_bounds(capsys):
-    for command, bounds in [("stability", [f"1 to {oracle.MAX_CYCLE}", "(0, 0.1]"]),
-                            ("distance", ["2 to 1e6"]), ("pattern", ["1 to 1e6"])]:
+    # every rule in README's "Command line" list, in the help of each command it binds
+    alpha1 = "1 <= q <= 2**1020"
+    out = "not a directory"
+    for command, bounds in [
+        ("pattern", ["1 to 1e6", "k >= 1", "head preparation angle, finite", alpha1,
+                     "a finite float", out]),
+        ("distance", ["2 to 1e6", "k >= 1", "perturbation, finite and >= 0", alpha1, out]),
+        ("lyapunov", ["2 to 1e6", "perturbation, finite and >= 0", "first fit cycle, >= 0",
+                      "last fit cycle, >= --fit-lo", alpha1, out]),
+        ("oracle-check", ["1 to 1e6", "perturbation, finite (default", "finite and >= 0 (default",
+                          alpha1, out]),
+        ("stability", [f"1 to {oracle.MAX_CYCLE}", "(0, 0.1]", alpha1, out]),
+    ]:
         with pytest.raises(SystemExit):
             run_cli(command, "--help")
         text = " ".join(capsys.readouterr().out.split())
-        assert all(b in text for b in bounds), (command, text)
+        missing = [b for b in bounds if b not in text]
+        assert not missing, (command, missing, text)
 
 
 @pytest.mark.parametrize("argv", [
@@ -738,6 +750,43 @@ def test_missing_output_directory_is_usage_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert repr(str(out)) in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", [
+    ["pattern", "--alpha1", "2/5", "--steps", "10"],
+    ["oracle-check", "--alpha1", "2/5", "--steps", "10"],
+    ["stability", "--alpha1", "2/5", "--m", "20"],
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("out", ["dir", "..", "", ".", "/", "x/"],
+                         ids=["existing-dir", "dotdot", "empty", "dot", "root", "trailing-slash"])
+def test_out_that_names_no_file_is_usage_error(tmp_path, monkeypatch, capsys, command, out):
+    # an existing directory fails at the move into place, the rest before any
+    # work; either way the one error line names the path as given
+    run = tmp_path / "run"
+    (run / "dir").mkdir(parents=True)
+    monkeypatch.chdir(run)
+    before = sorted(tmp_path.rglob("*"))
+    code, stdout, err = _outcome(capsys, [*command, "--out", out])
+    assert (code, stdout) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert repr(out) in err and ".tmp" not in err and "PosixPath" not in err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_failed_manifest_move_names_the_manifest(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "pattern.csv"
+    real_replace = os.replace
+
+    def replace(src, dst):
+        if str(dst).endswith(".manifest.json"):
+            raise PermissionError(13, "Permission denied", str(src), None, str(dst))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    assert run_cli("pattern", "--alpha1", "2/5", "--steps", "10", "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: [Errno 13] Permission denied: {str(out) + '.manifest.json'!r}\n"
     assert list(tmp_path.iterdir()) == []
 
 

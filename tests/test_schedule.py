@@ -315,27 +315,61 @@ def test_ab_angles_match_parity_closed_forms(alpha1):
         assert circ_dist(b, b_closed) < 1e-9
 
 
-# --- seed-perturbation accumulator -------------------------------------------
+# --- delta part: the float schedule at alpha1 = 0 ------------------------------
 
-def test_delta_fib_zero_index():
-    assert make_seq(0.3, delta=0.5).delta_fib(0) == 0.0
-
-
-def test_delta_fib_small_values():
-    seq = make_seq(0.3, delta=0.001)
-    assert seq.delta_fib(10) == pytest.approx(0.055, abs=1e-12)  # F_10 = 55
+def delta_part(delta, m):
+    """delta * F_m mod 2*pi, m >= 0: entry m + 1 of the float schedule at alpha1 = 0."""
+    return make_seq(0.0, delta=delta).angle(m + 1)
 
 
-def test_delta_fib_wraps():
+def test_delta_part_zero_index():
+    assert delta_part(0.5, 0) == 0.0
+
+
+def test_delta_part_small_values():
+    assert delta_part(0.001, 10) == pytest.approx(0.055, abs=1e-12)  # F_10 = 55
+
+
+def test_delta_part_wraps():
     # F_19 = 4181
-    seq = make_seq(0.3, delta=1.0)
-    assert circ_dist(seq.delta_fib(19), 4181 % TWO_PI) < 1e-10
+    assert circ_dist(delta_part(1.0, 19), 4181 % TWO_PI) < 1e-10
 
 
-def test_delta_fib_exact_oracle():
-    seq = make_seq(0.3, delta=0.013)
+def test_delta_part_exact_oracle():
     for m in range(0, 46):
-        assert circ_dist(seq.delta_fib(m), exact_multiple_mod(fib(m), 0.013)) < 1e-8
+        assert circ_dist(delta_part(0.013, m), exact_multiple_mod(fib(m), 0.013)) < 1e-8
+
+
+@pytest.mark.parametrize("delta", [0.0, 1e-3, -1e-3, 1e-8, 0.5, 7.0, 1e12])
+def test_exact_backend_is_integer_closed_form_plus_float_delta_part(delta):
+    # every exact-backend value is its integer closed form in F_m mod 2q plus
+    # delta * F_k mod 2*pi read from the float schedule at alpha1 = 0, whose
+    # entry k + 1 is delta * F_k; delta * F_{-2} = -delta and delta * F_{-1} = delta
+    top = 5000
+    float_part = make_seq(0.0, delta=delta)
+
+    def part(k):
+        return wrap_angle(-delta) if k == -2 else wrap_angle(delta) if k == -1 else \
+            float_part.angle(k + 1)
+
+    for p, q in [(2, 5), (-3, 7), (123, 257), (1, 999983)]:
+        seq = AngleSequence(ScheduleConfig.exact_pi(p, q, delta=delta))
+        mod = 2 * q
+        f = [1, 0]  # F_{m-1}, F_m mod 2q for m = -1, 0, 1, ...; f[m + 1] = F_m
+        while len(f) < top + 4:
+            f.append((f[-1] + f[-2]) % mod)
+        for m in range(top + 1):
+            if m:
+                want = wrap_angle(math.pi * ((p * f[m + 1]) % mod) / q + part(m - 1))
+                assert seq.angle(m).hex() == want.hex(), ("angle", p, q, m)
+            r = (p * (f[m + 3] - 1)) % mod  # sum_{j<=m} F_j = F_{m+2} - 1
+            want = wrap_angle(math.pi * r / q + part(m + 1))
+            assert seq.cumulative_plus(m).hex() == want.hex(), ("plus", p, q, m)
+            r = (p * ((-1) ** m - f[m])) % mod
+            even = wrap_angle(math.pi * r / q - part(m - 2))
+            for n in {max(2 * m - 1, 0), 2 * m}:
+                want = even if n % 2 == 0 else wrap_angle(-even)
+                assert seq.cumulative_minus(n).hex() == want.hex(), ("minus", p, q, n)
 
 
 # --- config validation --------------------------------------------------------
@@ -407,7 +441,6 @@ def test_exact_delta_growth_in_uneven_chunks_is_bit_identical(p, q):
         # queries of every kind at, below and above the grown length
         seq.cumulative_plus(m + chunk // 2)
         seq.cumulative_minus(2 * m + 1)
-        seq.delta_fib(m + chunk)
         seq.cumulative_plus(max(m - 5, 0))
         for k in range(m + 1, m + chunk + 1):
             got[k] = seq.angle(k)
@@ -449,8 +482,8 @@ def test_exact_growth_without_delta_needs_no_fib_mod(monkeypatch):
 
 # --- exact backend: any query order gives the ascending values -------------------
 
-QUERIES = ("angle", "cumulative_plus", "cumulative_minus", "delta_fib")
-LOWEST = {"angle": 1, "cumulative_plus": 0, "cumulative_minus": 0, "delta_fib": 0}
+QUERIES = ("angle", "cumulative_plus", "cumulative_minus")
+LOWEST = {"angle": 1, "cumulative_plus": 0, "cumulative_minus": 0}
 
 
 def ascending_values(config, kind, top):
@@ -513,7 +546,7 @@ BLOCK_EDGES = [255, 256, 257, 513]
 )
 @example(mode=ScheduleMode.FIBONACCI, alpha1=0.3, delta=1e-3,
          moves=[("cumulative_plus", 257), ("angle", 256), ("cumulative_minus", 1027),
-                ("angle", 513), ("delta_fib", 255), ("angle", 255)])
+                ("angle", 513), ("angle", 255)])
 @example(mode=ScheduleMode.ARITHMETIC, alpha1=0.3, delta=0.0,
          moves=[("cumulative_minus", 513), ("angle", 1), ("cumulative_plus", 256)])
 @example(mode=ScheduleMode.FIXED, alpha1=8.0, delta=1e-3,
