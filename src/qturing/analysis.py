@@ -86,21 +86,27 @@ def distance_rows(cfg: ExperimentConfig) -> Iterator[tuple[int, float, float]]:
 
     Trajectory A starts from |-1, -1> under the unperturbed schedule;
     trajectory B starts with the head rotated by delta = ``schedule.delta``
-    under the schedule re-seeded with a_0 = delta.
+    under the schedule re-seeded with a_0 = delta.  Both step together,
+    one cycle (rotation, then conditional NOT) per loop turn.
     """
-    seq_a = AngleSequence(replace(cfg.schedule, delta=0.0))
-    seq_b = AngleSequence(cfg.schedule)
-    state_a = engine.init_state(0.0)
-    state_b = engine.init_state(cfg.schedule.delta)
+    angle_a = AngleSequence(replace(cfg.schedule, delta=0.0)).angle
+    angle_b = AngleSequence(cfg.schedule).angle
+    a, b = engine.init_state(0.0), engine.init_state(cfg.schedule.delta)
 
+    rotate, flip = engine.apply_head_rotation, engine.apply_qcnot
     subsystem, metrics = cfg.subsystem, engine.pair_metrics
     steps, every = cfg.steps, cfg.record_every
-    yield (0, *metrics(state_a, state_b, subsystem))
-    iter_a = engine.iterate(seq_a, state_a, steps)
-    iter_b = engine.iterate(seq_b, state_b, steps)
-    for (n, sa), (_, sb) in zip(iter_a, iter_b):
-        if n % every == 0 or n == steps:
-            yield (n, *metrics(sa, sb, subsystem))
+    yield (0, *metrics(a, b, subsystem))
+    for m in range(1, steps // 2 + 1):
+        a, b = rotate(a, angle_a(m)), rotate(b, angle_b(m))
+        if (2 * m - 1) % every == 0:
+            yield (2 * m - 1, *metrics(a, b, subsystem))
+        a, b = flip(a), flip(b)
+        if (2 * m) % every == 0 or 2 * m == steps:
+            yield (2 * m, *metrics(a, b, subsystem))
+    if steps % 2:
+        m = steps // 2 + 1
+        yield (steps, *metrics(rotate(a, angle_a(m)), rotate(b, angle_b(m)), subsystem))
 
 
 def distance_trace(cfg: ExperimentConfig) -> DistanceTrace:

@@ -12,13 +12,19 @@ With these choices a head prepared from |-1> by a rotation through the
 cumulative angle C sits at Bloch vector (0, sin C, -cos C), so the analytic
 trajectory formulas come out without sign fudging.
 
-Even-numbered gates apply the conditional NOT: the tape spin is flipped
-exactly when the head is in |-1>.  It is realized as an amplitude
-permutation (swap c[0] <-> c[1]), which makes it bit-exact and self-inverse.
-A state is a tuple of four Python complexes and a reduced density matrix
-a 2x2 tuple of tuples: at this size plain scalar arithmetic is faster than
-any array library.  All operations are pure functions of the state;
-independent trajectories can run in parallel without shared mutable state.
+Every gate is real in the basis where the head's |1> carries a factor i: a
+state is four floats (x0, x1, y2, y3), the amplitudes c = (x0, x1, i y2,
+i y3).  ``init_state`` builds only such states (real tape kets, a head
+turned about sigma1), a head rotation is a real 4x4 map and the conditional
+NOT (flip the tape when the head is |-1>) swaps x0 and x1, bit-exact and
+self-inverse.  So head s1 and tape s2 are 0 by construction.  A sigma2 or
+sigma3 rotation, or a complex tape ket, would leave this subspace.  All
+operations are pure functions of the state.
+
+``reduce_spin``, ``bloch_vector``, ``distance_sq`` and ``overlap_sq`` remain
+only as the density-matrix route: the tests hold the amplitude route to
+them, and the benchmark's tracer wraps them by name.  The two that take
+states lift them to the complex amplitudes c first.
 
 A part of the network is a ``Subsystem`` member or its value: ``"head"`` or
 ``"tape"`` names one spin, which every function taking a spin accepts, and
@@ -32,17 +38,10 @@ from typing import Iterator, NamedTuple
 
 from .schedule import AngleSequence
 
-#: amplitudes (c0, c1, c2, c3) of a network state, indexed c[2h + t]
-State = tuple[complex, complex, complex, complex]
+#: real coordinates (x0, x1, y2, y3) of the amplitudes (x0, x1, i y2, i y3)
+State = tuple[float, float, float, float]
 #: 2x2 matrix as rows ((m00, m01), (m10, m11))
 Matrix2 = tuple[tuple[complex, complex], tuple[complex, complex]]
-
-SIGMA1: Matrix2 = ((0j, 1 + 0j), (1 + 0j, 0j))
-SIGMA2: Matrix2 = ((0j, 1j), (complex(0.0, -1.0), 0j))  # i sigma1 sigma3
-SIGMA3: Matrix2 = ((-1 + 0j, 0j), (0j, 1 + 0j))
-
-#: Pauli triple in component order (sigma1, sigma2, sigma3)
-PAULI = (SIGMA1, SIGMA2, SIGMA3)
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -85,22 +84,22 @@ def init_state(head_angle: float, tape: TapeState | str = TapeState.MINUS_ONE) -
         raise ValueError(f"head_angle must be finite, got {head_angle}")
     t0, t1 = _TAPE_AMPLITUDES[TapeState(tape)]
     h0 = math.cos(head_angle / 2.0)
-    h1 = -1j * math.sin(head_angle / 2.0)
-    return (complex(h0 * t0), complex(h0 * t1), h1 * t0, h1 * t1)
+    h1 = math.sin(head_angle / 2.0)
+    return (h0 * t0, h0 * t1, -h1 * t0, -h1 * t1)
 
 
 def apply_head_rotation(state: State, alpha: float) -> State:
     """Rotate the head spin: multiply by exp(-i sigma1 alpha / 2) (x) 1."""
     c = math.cos(alpha / 2.0)
-    s = -1j * math.sin(alpha / 2.0)
-    c0, c1, c2, c3 = state
-    return (c * c0 + s * c2, c * c1 + s * c3, s * c0 + c * c2, s * c1 + c * c3)
+    s = math.sin(alpha / 2.0)
+    x0, x1, y2, y3 = state
+    return (c * x0 + s * y2, c * x1 + s * y3, c * y2 - s * x0, c * y3 - s * x1)
 
 
 def apply_qcnot(state: State) -> State:
-    """Conditional NOT: flip the tape when the head is |-1> (c0 <-> c1)."""
-    c0, c1, c2, c3 = state
-    return (c1, c0, c2, c3)
+    """Conditional NOT: flip the tape when the head is |-1> (x0 <-> x1)."""
+    x0, x1, y2, y3 = state
+    return (x1, x0, y2, y3)
 
 
 def iterate(seq: AngleSequence, state: State, n_steps: int) -> Iterator[tuple[int, State]]:
@@ -122,13 +121,19 @@ def iterate(seq: AngleSequence, state: State, n_steps: int) -> Iterator[tuple[in
         yield n_steps, apply_head_rotation(state, angle(n_steps // 2 + 1))
 
 
+def _lift(state: State) -> tuple[complex, complex, complex, complex]:
+    """The complex amplitudes (x0, x1, i y2, i y3) of a state."""
+    x0, x1, y2, y3 = state
+    return complex(x0), complex(x1), complex(0.0, y2), complex(0.0, y3)
+
+
 def reduce_spin(state: State, spin: Subsystem | str) -> Matrix2:
     """2x2 reduced density matrix of one spin (partial trace over the other).
 
     For the head rho_hh' = sum_t c[2h+t] conj(c[2h'+t]); the tape sums over
     the head index instead, which is the same formula with c1 and c2 swapped.
     """
-    c0, c1, c2, c3 = state
+    c0, c1, c2, c3 = _lift(state)
     if spin == "tape":  # a Subsystem member equals its value
         c1, c2 = c2, c1
     elif spin != "head":
@@ -140,38 +145,31 @@ def reduce_spin(state: State, spin: Subsystem | str) -> Matrix2:
 def bloch_vector(rho: Matrix2) -> BlochVector:
     """Pauli expectation values (Tr rho sigma_j) of a 2x2 density matrix.
 
-    The trace is summed in matrix-product order, (rho sigma)_00 +
-    (rho sigma)_11.
+    Tr rho sigma1 = rho_01 + rho_10, Tr rho sigma2 = i (rho_10 - rho_01) and
+    Tr rho sigma3 = rho_11 - rho_00; a trace with an imaginary part above
+    1e-9 means rho is not Hermitian.  Adding 0.0 turns a -0.0 into 0.0.
     """
     (r00, r01), (r10, r11) = rho
-    ((a00, a01), (a10, a11)), ((b00, b01), (b10, b11)), ((c00, c01), (c10, c11)) = PAULI
-    v1 = (r00 * a00 + r01 * a10) + (r10 * a01 + r11 * a11)
-    v2 = (r00 * b00 + r01 * b10) + (r10 * b01 + r11 * b11)
-    v3 = (r00 * c00 + r01 * c10) + (r10 * c01 + r11 * c11)
-    if abs(v1.imag) > 1e-9 or abs(v2.imag) > 1e-9 or abs(v3.imag) > 1e-9:
-        bad = next(v.imag for v in (v1, v2, v3) if abs(v.imag) > 1e-9)
-        raise ValueError(f"density matrix is corrupted: Im Tr(rho sigma) = {bad}")
-    return BlochVector(v1.real, v2.real, v3.real)
+    traces = (r01 + r10, (r10 - r01) * 1j, r11 - r00)
+    for v in traces:
+        if abs(v.imag) > 1e-9:
+            raise ValueError(f"density matrix is corrupted: Im Tr(rho sigma) = {v.imag}")
+    return BlochVector(*(v.real + 0.0 for v in traces))
 
 
 def spin_bloch(state: State, spin: Subsystem | str) -> BlochVector:
-    """Bloch vector of one spin, straight from the four amplitudes.
-
-    The value of ``bloch_vector(reduce_spin(state, spin))``, summed without
-    forming the matrix: with r = rho_01 = c0 conj(c2) + c1 conj(c3) the head
-    has s1 = 2 Re r, s2 = 2 Im r and s3 = rho_11 - rho_00; the tape uses the
-    same formulas with c[1] and c[2] swapped.  Adding 0.0 turns a -0.0 into
-    0.0, which the matrix route never emits.
+    """Bloch vector of one spin from the four floats: the value of
+    ``bloch_vector(reduce_spin(state, spin))`` without forming the matrix.
+    Adding 0.0 turns a -0.0 into 0.0, which the matrix route never emits.
     """
-    c0, c1, c2, c3 = state
+    x0, x1, y2, y3 = state
+    if spin == "head":  # a Subsystem member equals its value
+        return BlochVector(0.0, -2.0 * (x0 * y2 + x1 * y3) + 0.0,
+                           (y2 * y2 + y3 * y3) - (x0 * x0 + x1 * x1) + 0.0)
     if spin == "tape":
-        c1, c2 = c2, c1
-    elif spin != "head":
-        raise ValueError(f"spin must be 'head' or 'tape', got {spin!r}")
-    r = c0 * c2.conjugate() + c1 * c3.conjugate()
-    p0 = (c0 * c0.conjugate()).real + (c1 * c1.conjugate()).real
-    p1 = (c2 * c2.conjugate()).real + (c3 * c3.conjugate()).real
-    return BlochVector(2.0 * r.real + 0.0, 2.0 * r.imag + 0.0, p1 - p0 + 0.0)
+        return BlochVector(2.0 * (x0 * x1 + y2 * y3) + 0.0, 0.0,
+                           (x1 * x1 + y3 * y3) - (x0 * x0 + y2 * y2) + 0.0)
+    raise ValueError(f"spin must be 'head' or 'tape', got {spin!r}")
 
 
 def distance_sq(rho_a: Matrix2, rho_b: Matrix2) -> float:
@@ -193,33 +191,28 @@ def distance_sq(rho_a: Matrix2, rho_b: Matrix2) -> float:
 def pair_metrics(state_a: State, state_b: State, subsystem: Subsystem | str) -> tuple[float, float]:
     """Squared distance and squared overlap of two network states.
 
-    Returns (d2, |<b|a>|^2).  For ``"network"`` d2 is the network distance
-    2 (1 - |<b|a>|^2); for a spin it is Tr[(rho_a - rho_b)^2] for the reduced
-    state of that spin, i.e. the value of ``distance_sq`` on the two
-    ``reduce_spin`` matrices, summed straight from the eight amplitudes
-    without forming the matrices.  For the head
-    rho_hh' = sum_t c[2h+t] conj(c[2h'+t]) and
-    d2 = (drho_00)^2 + (drho_11)^2 + 2 |drho_01|^2; the tape uses the same
-    formula with c[1] and c[2] swapped.
+    Returns (d2, z^2) with z = <b|a> = sum_k a_k b_k.  For ``"network"`` d2
+    is 2 (1 - z^2); for a spin it is ``distance_sq`` of the two
+    ``reduce_spin`` matrices, (drho_00)^2 + (drho_11)^2 + 2 (drho_01)^2,
+    summed from the eight floats.  The tape's formulas are the head's with
+    x1 and y2 swapped.
     """
     a0, a1, a2, a3 = state_a
     b0, b1, b2, b3 = state_b
-    b0c, b1c, b2c, b3c = b0.conjugate(), b1.conjugate(), b2.conjugate(), b3.conjugate()
-    z = b0c * a0 + b1c * a1 + b2c * a2 + b3c * a3
-    ov = z.real * z.real + z.imag * z.imag
+    z = a0 * b0 + a1 * b1 + a2 * b2 + a3 * b3
+    ov = z * z
     if subsystem == "network":
         return 2.0 * (1.0 - ov), ov
     if subsystem == "tape":
-        a1, a2, b1, b2, b1c, b2c = a2, a1, b2, b1, b2c, b1c
+        a1, a2, b1, b2 = a2, a1, b2, b1
     elif subsystem != "head":
         raise ValueError(f"subsystem must be 'head', 'tape' or 'network', got {subsystem!r}")
-    a0c, a1c, a2c, a3c = a0.conjugate(), a1.conjugate(), a2.conjugate(), a3.conjugate()
-    d00 = (a0 * a0c + a1 * a1c).real - (b0 * b0c + b1 * b1c).real
-    d11 = (a2 * a2c + a3 * a3c).real - (b2 * b2c + b3 * b3c).real
-    d01 = (a0 * a2c + a1 * a3c) - (b0 * b2c + b1 * b3c)
-    return d00 * d00 + d11 * d11 + 2.0 * (d01.real * d01.real + d01.imag * d01.imag), ov
+    d00 = (a0 * a0 + a1 * a1) - (b0 * b0 + b1 * b1)
+    d11 = (a2 * a2 + a3 * a3) - (b2 * b2 + b3 * b3)
+    d01 = (a0 * a2 + a1 * a3) - (b0 * b2 + b1 * b3)
+    return d00 * d00 + d11 * d11 + 2.0 * (d01 * d01), ov
 
 
 def overlap_sq(psi_a: State, psi_b: State) -> float:
     """Squared overlap |<psi_b|psi_a>|^2 of two normalized state vectors."""
-    return abs(sum(b.conjugate() * a for a, b in zip(psi_a, psi_b))) ** 2
+    return abs(sum(b.conjugate() * a for a, b in zip(_lift(psi_a), _lift(psi_b)))) ** 2

@@ -11,9 +11,11 @@ hashed without its ``version`` key, so a version bump changes no entry.
 ``test_golden.py`` reruns every argv and compares.  Regenerating the file
 is a declared act: each changed entry is listed in CHANGES.md.
 
-``math.sin`` and ``math.cos`` come from the platform's C library, so the
-file records the libc it was made with; on another libc only the exit codes
-and stderr are compared.
+``math.sin`` and ``math.cos`` come from the platform's C library, and the
+output hashes depend on how it rounds them.  So the file records a
+fingerprint of the two (``libm_fingerprint``) beside the libc it was made
+with; where the fingerprint differs, only the exit codes and stderr are
+compared.
 """
 from __future__ import annotations
 
@@ -21,6 +23,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import platform
 import sys
@@ -157,9 +160,48 @@ def libc() -> list[str]:
     return list(platform.libc_ver())
 
 
+#: points of the evenly spaced sample of [-4*pi, 4*pi] the fingerprint reads
+_SAMPLE_POINTS = 4097
+
+#: most digits of an exact denominator whose angles the fingerprint reads;
+#: the corpus's longer ones (1/10**400 and the like) are rejected before any
+#: angle exists
+_MAX_Q_DIGITS = 4
+
+
+def fingerprint_arguments() -> list[float]:
+    """The arguments ``libm_fingerprint`` evaluates ``sin`` and ``cos`` at.
+
+    For every exact p/q of the corpus, the exact-backend angles pi r / q,
+    0 <= r < 2q, as the schedule computes them, and their halves, which the
+    gates rotate by; then an evenly spaced sample of [-4*pi, 4*pi] for the
+    float angles and the cumulatives.
+    """
+    denominators = {
+        value.split("/")[1] for argv in ARGVS for flag, value in zip(argv, argv[1:])
+        if flag == "--alpha1" and "/" in value
+    }
+    args = []
+    for q in sorted(int(d) for d in denominators if len(d) <= _MAX_Q_DIGITS):
+        for r in range(2 * q):
+            angle = math.pi * r / q
+            args += [angle, angle / 2.0]
+    step = 8.0 * math.pi / (_SAMPLE_POINTS - 1)
+    args += [-4.0 * math.pi + k * step for k in range(_SAMPLE_POINTS)]
+    return args
+
+
+def libm_fingerprint() -> str:
+    """SHA-256 of ``math.sin`` and ``math.cos``, as ``.hex()``, at every
+    argument of ``fingerprint_arguments``."""
+    text = "".join(f"{math.sin(x).hex()} {math.cos(x).hex()}\n" for x in fingerprint_arguments())
+    return _sha256(text.encode("ascii"))
+
+
 def main() -> None:
     golden = {
         "libc": libc(),
+        "libm_sha256": libm_fingerprint(),
         "python": platform.python_version(),
         "entries": run_corpus(ARGVS),
     }

@@ -27,7 +27,7 @@ from qturing.schedule import (
     ScheduleConfig,
     ScheduleMode,
 )
-from reference import norm_sq, run
+from reference import SIGMA1, lift, norm_sq, run
 
 EQUAL = SuperpositionWeights(1 / math.sqrt(2), 1 / math.sqrt(2))
 APERIODIC_ALPHA1 = (2.0 / 5.0) * 3.141592654  # deliberately truncated pi
@@ -354,7 +354,7 @@ def test_criterion_7_property_suites():
             )
             if not 0.0 <= d2 <= 2.0 + 1e-10:
                 metrics_ok = False
-        va, vb = np.array(xa), np.array(xb)
+        va, vb = np.array(lift(xa)), np.array(lift(xb))
         pa, pb = np.outer(va, va.conj()), np.outer(vb, vb.conj())
         ident = abs(
             engine.distance_sq(pa, pb) - 2.0 * (1.0 - engine.overlap_sq(xa, xb))
@@ -366,7 +366,7 @@ def test_criterion_7_property_suites():
     brute_ok = True
     i2 = np.eye(2, dtype=complex)
     p_minus, p_plus = np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)
-    sigma1 = np.array(engine.SIGMA1)
+    sigma1 = np.array(SIGMA1)
     u_cnot = np.kron(p_minus, sigma1) + np.kron(p_plus, i2)
     for alpha1, delta in ((0.3, 0.0), (2 * math.pi / 5, 0.001)):
         seq = AngleSequence(_schedule(alpha1, delta))
@@ -380,7 +380,7 @@ def test_criterion_7_property_suites():
             else:
                 unitary = u_cnot @ unitary
             direct = run(AngleSequence(_schedule(alpha1, delta)), init, n)
-            if np.abs(np.array(direct) - unitary @ np.array(init)).max() > 1e-12:
+            if np.abs(np.array(lift(direct)) - unitary @ np.array(lift(init))).max() > 1e-12:
                 brute_ok = False
 
     ok = all(

@@ -1,7 +1,9 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+import reference
 
 from qturing.analysis import (
     ExperimentConfig,
@@ -171,6 +173,27 @@ def test_distance_rows_stream_the_trace():
     assert iter(rows) is rows  # a generator: rows are made as they are read
     trace = distance_trace(cfg)
     assert list(rows) == list(zip(trace.steps, trace.d2, trace.overlap))
+
+
+@pytest.mark.parametrize("steps,every", [(2, 1), (3, 1), (61, 1), (60, 7), (61, 7), (301, 10)])
+@pytest.mark.parametrize("schedule", [
+    ScheduleConfig.exact_pi(3, 7, delta=1e-3),
+    ScheduleConfig(ScheduleMode.FIBONACCI, 1.2566370616, delta=1e-3),
+    ScheduleConfig(ScheduleMode.ARITHMETIC, 1.2566370616, delta=1e-3),
+    ScheduleConfig.exact_pi(-2, 5, mode=ScheduleMode.FIXED, delta=0.3),
+], ids=["exact", "float", "arithmetic", "fixed"])
+def test_distance_rows_match_the_complex_reference_twins(schedule, steps, every):
+    # both twins stepped in one loop give, row for row and bit for bit, the
+    # pair metrics of two complex reference runs stepped one after the other
+    for subsystem in ("head", "tape", "network"):
+        start = (reference.init_state(0.0), reference.init_state(schedule.delta))
+        runs = [reference.iterate(AngleSequence(cfg), state, steps)
+                for cfg, state in zip((replace(schedule, delta=0.0), schedule), start)]
+        rows = [(0, *reference.pair_metrics(*start, subsystem))]
+        rows += [(n, *reference.pair_metrics(a, b, subsystem))
+                 for (n, a), (_, b) in zip(*runs) if n % every == 0 or n == steps]
+        cfg = ExperimentConfig(schedule, steps, Subsystem(subsystem), record_every=every)
+        assert repr(list(distance_rows(cfg))) == repr(rows)
 
 
 def test_lyapunov_requires_recorded_cycles():

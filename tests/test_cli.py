@@ -334,7 +334,7 @@ def test_oracle_check_detects_corrupted_pauli(capsys, monkeypatch):
     # negative control: flip the sign of sigma2 in the engine's Bloch vectors
     # and the very first rotation step must disagree with the closed forms
     # (test_engine's test_negated_sigma2_separates_the_bloch_routes keeps a
-    # sign error in engine.PAULI itself visible)
+    # sign error in the reference's PAULI itself visible)
     spin_bloch = engine.spin_bloch
 
     def negated_s2(state, spin):

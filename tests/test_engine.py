@@ -5,14 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from reference import norm_sq, run
+import reference
+from reference import PAULI, SIGMA1, SIGMA2, SIGMA3, lift, norm_sq, pauli_bloch, run
 
-from qturing import engine
 from qturing.engine import (
-    PAULI,
-    SIGMA1,
-    SIGMA2,
-    SIGMA3,
     BlochVector,
     Subsystem,
     TapeState,
@@ -38,18 +34,15 @@ def fib_seq(alpha1, delta=0.0):
 
 
 def random_states(draw_reals):
-    """Build a normalized 4-amplitude state from 8 reals."""
-    vec = np.array(
-        [complex(draw_reals[2 * i], draw_reals[2 * i + 1]) for i in range(4)]
-    )
-    norm = np.linalg.norm(vec)
-    return tuple(complex(c) for c in vec / norm)
+    """Build a normalized engine state (x0, x1, y2, y3) from 4 reals."""
+    vec = np.array(draw_reals)
+    return tuple(float(x) for x in vec / np.linalg.norm(vec))
 
 
 state_strategy = st.builds(
     random_states,
     st.lists(
-        st.floats(min_value=-1.0, max_value=1.0), min_size=8, max_size=8
+        st.floats(min_value=-1.0, max_value=1.0), min_size=4, max_size=4
     ).filter(lambda xs: sum(x * x for x in xs) > 1e-6),
 )
 
@@ -85,7 +78,7 @@ def test_init_state_ground():
 def test_init_state_pi_rotation():
     # cos(pi/2) - i sin(pi/2) sigma1 sends |-1> to -i |1>
     np.testing.assert_allclose(
-        init_state(math.pi, TapeState.MINUS_ONE), [0, 0, -1j, 0], atol=1e-16
+        lift(init_state(math.pi, TapeState.MINUS_ONE)), [0, 0, -1j, 0], atol=1e-16
     )
 
 
@@ -219,7 +212,8 @@ def test_reduce_product_state_is_pure():
 
 
 def test_reduce_bell_like_state_is_maximally_mixed():
-    state = np.array([0.0, 1.0, -1j, 0.0]) / math.sqrt(2)
+    # amplitudes (0, 1, -i, 0) / sqrt(2)
+    state = (0.0, 1.0 / math.sqrt(2), -1.0 / math.sqrt(2), 0.0)
     rho = reduce_spin(state, Subsystem.HEAD)
     np.testing.assert_allclose(rho, I2 / 2, atol=1e-15)
 
@@ -313,7 +307,7 @@ def test_overlap_small_rotation():
 @given(sa=state_strategy, sb=state_strategy)
 def test_network_distance_equals_two_one_minus_overlap(sa, sb):
     # for pure states, Tr[(P_a - P_b)^2] = 2 (1 - |<a|b>|^2)
-    va, vb = np.array(sa), np.array(sb)
+    va, vb = np.array(lift(sa)), np.array(lift(sb))
     pa, pb = np.outer(va, va.conj()), np.outer(vb, vb.conj())
     assert distance_sq(pa, pb) == pytest.approx(
         2.0 * (1.0 - overlap_sq(sa, sb)), abs=1e-10
@@ -372,8 +366,8 @@ def test_gate_sequence_matches_matrix_products(alpha1, delta):
             gate = _qcnot_matrix()
         unitary = gate @ unitary
         np.testing.assert_allclose(
-            run(fib_seq(alpha1, delta=delta), initial, n),
-            unitary @ np.array(initial),
+            lift(run(fib_seq(alpha1, delta=delta), initial, n)),
+            unitary @ np.array(lift(initial)),
             atol=1e-12,
         )
 
@@ -407,20 +401,19 @@ def _gamma(n):
     return nu / (1 - nu)
 
 
-#: relative error bound of pair_metrics' ov = Re(z)^2 + Im(z)^2 with z = <a|a>:
-#: Im(z) is exactly 0.0 (each conj(c) c has imaginary part x y - y x), Re(z)
-#: is a sum of 8 products x_k^2, y_k^2 within gamma_8 of the exact sum, and
-#: squaring and adding Im(z)^2 round within gamma_2
+#: relative error bound of ov = |z|^2 with z = <a|a>, derived for the complex
+#: formula Re(z)^2 + Im(z)^2: Im(z) is exactly 0.0, Re(z) is a sum of 8
+#: products within gamma_8 of the exact sum, and squaring and adding Im(z)^2
+#: round within gamma_2.  pair_metrics' real z = sum of 4 squares and ov = z * z
+#: round within gamma_4 and gamma_1, inside the same bound
 _OV_REL_BOUND = (1 + _gamma(8)) ** 2 * (1 + _gamma(2)) - 1
 
 
 @settings(max_examples=100, deadline=None)
 @given(state=state_strategy)
-@example(state=random_states([0.0, 0.0, 1e-6, 0.0, 1e-6, 0.7460571454963776, 1e-6, 1e-6]))
-@example(state=(complex(0.3723327249288464, 0.49479426584840436),
-                complex(0.4036195876507464, 0.05066919266284758),
-                complex(0.3723327249288464, 0.4036195876507464),
-                complex(0.24854461369440328, 0.29623636377956114)))
+@example(state=random_states([1e-6, 1e-6, 0.7460571454963776, 1e-6]))
+@example(state=(0.3723327249288464, 0.49479426584840436, 0.4036195876507464,
+                0.29623636377956114))
 def test_pair_metrics_vanish_for_identical_states(state):
     for spin in (Subsystem.HEAD, Subsystem.TAPE, "head", "tape"):
         assert pair_metrics(state, state, spin)[0] == 0.0
@@ -428,7 +421,7 @@ def test_pair_metrics_vanish_for_identical_states(state):
     # the network distance is 2 (1 - |<a|a>|^2): zero up to the rounding of the
     # norm, so ov is held to the exact |<a|a>|^2 of the drawn, already rounded
     # state, not to 1.0, within the error bound of the formula that sums it
-    exact = sum(Fraction(c.real) ** 2 + Fraction(c.imag) ** 2 for c in state) ** 2
+    exact = sum(Fraction(x) ** 2 for x in state) ** 2
     assert abs(Fraction(ov) - exact) <= _OV_REL_BOUND * exact
     assert d2 == 2.0 * (1.0 - ov)
 
@@ -462,38 +455,39 @@ def test_pair_metrics_rejects_unknown_spin():
 
 # --- Bloch vectors from amplitudes ----------------------------------------------
 
-#: real or imaginary parts with exact and signed zeros among them
+#: state coordinates with exact and signed zeros among them
 part_strategy = st.one_of(
     st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -0.5]),
     st.floats(min_value=-1.0, max_value=1.0),
 )
-raw_state_strategy = st.tuples(
-    *[st.builds(complex, part_strategy, part_strategy) for _ in range(4)]
-)
+raw_state_strategy = st.tuples(*[part_strategy] * 4)
 
 
 @settings(max_examples=300, deadline=None)
 @given(state=st.one_of(state_strategy, raw_state_strategy))
 def test_spin_bloch_matches_density_matrix_route(state):
-    # the same floats, signed zeros included: compared by repr, not by value
+    # the same floats, signed zeros included: compared by repr, not by value;
+    # the Pauli-matrix products give the same values
     for spin in (Subsystem.HEAD, Subsystem.TAPE, "head", "tape"):
-        assert repr(spin_bloch(state, spin)) == repr(bloch_vector(reduce_spin(state, spin)))
+        rho = reduce_spin(state, spin)
+        assert repr(spin_bloch(state, spin)) == repr(bloch_vector(rho))
+        assert spin_bloch(state, spin) == pauli_bloch(rho)
 
 
 def test_negated_sigma2_separates_the_bloch_routes(monkeypatch):
     # oracle-check reads spin_bloch, which never reads PAULI: a sign error in
-    # sigma2 must still make the two routes disagree wherever s2 != 0
+    # sigma2 must still make it disagree with the Pauli products wherever s2 != 0
     state = init_state(0.3)
     s1, s2, s3 = PAULI
-    monkeypatch.setattr(engine, "PAULI", (s1, tuple(tuple(-x for x in row) for row in s2), s3))
+    monkeypatch.setattr(reference, "PAULI", (s1, tuple(tuple(-x for x in row) for row in s2), s3))
     for spin in (Subsystem.HEAD, "head"):
         amp = spin_bloch(state, spin)
         assert amp.s2 == pytest.approx(math.sin(0.3), abs=1e-15)
-        assert bloch_vector(reduce_spin(state, spin)) == (amp.s1, -amp.s2, amp.s3)
+        assert pauli_bloch(reduce_spin(state, spin)) == (amp.s1, -amp.s2, amp.s3)
 
 
 def test_spin_bloch_of_zero_amplitudes_has_no_negative_zero():
-    state = (complex(-0.0, -0.0), complex(0.0, -0.0), complex(-0.0, 0.0), -0j)
+    state = (-0.0, 0.0, -0.0, -0.0)
     for spin in (Subsystem.HEAD, Subsystem.TAPE, "head", "tape"):
         assert repr(spin_bloch(state, spin)) == "BlochVector(s1=0.0, s2=0.0, s3=0.0)"
 
@@ -506,10 +500,81 @@ def test_spin_bloch_rejects_unknown_spin():
                 route(init_state(0.0), spin)
 
 
-def test_gates_return_complex_4_tuples():
+def test_gates_return_real_4_tuples():
     state = init_state(0.4, TapeState.PLUS)
     gated = (apply_head_rotation(state, 1.3), apply_head_rotation(state, 0.0), apply_qcnot(state))
     for out in (state, *gated):
         assert isinstance(out, tuple)
         assert len(out) == 4
-        assert all(type(c) is complex for c in out)
+        assert all(type(x) is float for x in out)
+
+
+# --- the real engine against the complex reference ------------------------------
+
+schedule_strategy = st.one_of(
+    st.builds(lambda pq, mode, delta: ScheduleConfig.exact_pi(*pq, mode=mode, delta=delta),
+              st.sampled_from([(2, 5), (3, 7), (-2, 5), (123, 257), (0, 1)]),
+              st.sampled_from(list(ScheduleMode)),
+              st.floats(min_value=-0.5, max_value=0.5)),
+    st.builds(ScheduleConfig,
+              st.sampled_from(list(ScheduleMode)),
+              st.floats(min_value=-10.0, max_value=10.0),
+              st.floats(min_value=-0.5, max_value=0.5)),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(config=schedule_strategy, tape=st.sampled_from(list(TapeState)),
+       head_angle=st.floats(allow_nan=False, allow_infinity=False),
+       steps=st.integers(min_value=0, max_value=300))
+@example(config=ScheduleConfig.exact_pi(2, 5, delta=-0.5), tape=TapeState.MINUS,
+         head_angle=1e300, steps=401)
+def test_complex_reference_stays_in_the_rebit_subspace(config, tape, head_angle, steps):
+    # c0 and c1 exactly real, c2 and c3 exactly imaginary after every gate: the
+    # four floats of the engine lose nothing, and head s1 and tape s2, which the
+    # engine sets to 0.0 by construction, are 0 on the complex route as well
+    state = reference.init_state(head_angle, tape)
+    for n, state in [(0, state), *reference.iterate(AngleSequence(config), state, steps)]:
+        c0, c1, c2, c3 = state
+        assert (c0.imag, c1.imag, c2.real, c3.real) == (0.0, 0.0, 0.0, 0.0), n
+        assert reference.spin_bloch(state, "head")[0] == 0.0, n
+        assert reference.spin_bloch(state, "tape")[1] == 0.0, n
+
+
+def _bits(state):
+    """Hex digits of each real and imaginary part; a zero of either sign is '0'."""
+    return [x.hex() if x else "0" for c in state for x in (c.real, c.imag)]
+
+
+def _schedule(alpha1, mode, delta):
+    if isinstance(alpha1, tuple):
+        return ScheduleConfig.exact_pi(*alpha1, mode=mode, delta=delta)
+    return ScheduleConfig(mode, alpha1, delta=delta)
+
+
+@settings(max_examples=50, deadline=None)
+@given(alpha1=st.sampled_from([(2, 5), (3, 7), (-2, 5), (123, 257), 1.2566370616, 0.3, 5.9]),
+       mode=st.sampled_from(list(ScheduleMode)),
+       delta=st.sampled_from([0.0, 1e-3, -1e-3]),
+       tape=st.sampled_from(list(TapeState)),
+       head_angle=st.sampled_from([0.0, 1e-3, -1e-3, 0.3, 0.7, -2.5, math.pi]),
+       steps=st.sampled_from([1, 2, 61, 300, 601]))
+def test_real_engine_is_the_complex_reference_bit_for_bit(alpha1, mode, delta, tape, head_angle,
+                                                          steps):
+    # twin A from |-1> (x) |tape> under the schedule at delta = 0, twin B from
+    # the head rotated by head_angle under the schedule at delta
+    seqs = [AngleSequence(_schedule(alpha1, mode, d)) for d in (0.0, delta, 0.0, delta)]
+    run_a = iterate(seqs[0], init_state(0.0, tape), steps)
+    run_b = iterate(seqs[1], init_state(head_angle, tape), steps)
+    ref_a = reference.iterate(seqs[2], reference.init_state(0.0, tape), steps)
+    ref_b = reference.iterate(seqs[3], reference.init_state(head_angle, tape), steps)
+    for (n, a), (_, b), (_, ca), (_, cb) in zip(run_a, run_b, ref_a, ref_b, strict=True):
+        assert _bits(lift(a)) == _bits(ca), n
+        assert _bits(lift(b)) == _bits(cb), n
+        for spin in ("head", "tape"):
+            for state, complex_state in ((a, ca), (b, cb)):
+                got = tuple(spin_bloch(state, spin))
+                assert repr(got) == repr(reference.spin_bloch(complex_state, spin)), n
+        for subsystem in ("head", "tape", "network"):
+            got = pair_metrics(a, b, subsystem)
+            assert repr(got) == repr(reference.pair_metrics(ca, cb, subsystem)), n

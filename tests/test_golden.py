@@ -2,15 +2,16 @@
 
 Every argv the corpus lists runs in-process through ``cli.main``; its exit
 code, stderr, stdout and output files must match what the generator
-(tests/make_golden.py) recorded.  Output hashes depend on the platform's
-libm, so on a libc other than the recorded one they are skipped, with a
-reason that names both.
+(tests/make_golden.py) recorded.  Output hashes depend on how the platform's
+libm rounds ``math.sin`` and ``math.cos``, so they are compared wherever the
+libm's fingerprint matches the recorded one, whatever the libc, and skipped,
+with a reason that names both fingerprints, where it does not.
 """
 import json
 
 import pytest
 
-from make_golden import GOLDEN, libc, run_corpus
+from make_golden import GOLDEN, libm_fingerprint, run_corpus
 
 CORPUS = json.loads(GOLDEN.read_text(encoding="utf-8"))
 
@@ -34,9 +35,14 @@ def test_exit_codes_and_stderr_match(reruns):
 
 
 def test_output_hashes_match(reruns):
-    if libc() != CORPUS["libc"]:
-        pytest.skip(f"golden hashes were recorded on libc {CORPUS['libc']}, this is {libc()}: "
-                    "math.sin/cos may round differently, so only exit codes and stderr are compared")
+    """The fingerprint samples the libm; one that rounds every sampled
+    argument alike but differs on another makes this test fail, never pass:
+    a false alarm, not a false pass."""
+    recorded, here = CORPUS["libm_sha256"], libm_fingerprint()
+    if here != recorded:
+        pytest.skip(f"golden hashes were recorded with libm fingerprint {recorded}, this libm "
+                    f"gives {here}: math.sin/cos round differently, so only exit codes and "
+                    "stderr are compared")
     keys = ("stdout_sha256", "files")
     bad = [
         _label(want["argv"])
