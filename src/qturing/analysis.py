@@ -147,6 +147,8 @@ def lyapunov_estimate(trace: DistanceTrace, fit_window: tuple[int, int]) -> floa
             val = trace.d2_at(2 * m)
         except KeyError:
             continue
+        if math.isnan(val):
+            raise ValueError(f"d2({2 * m}) is NaN")
         if val >= _SATURATION_GUARD:
             raise ValueError(
                 f"window reaches saturation: d2({2 * m}) = {val:.3g} >= {_SATURATION_GUARD}"
@@ -162,11 +164,13 @@ def lyapunov_estimate(trace: DistanceTrace, fit_window: tuple[int, int]) -> floa
 def fit_power_law(trace: DistanceTrace, window: tuple[int, int]) -> float:
     """Exponent k of D ~ n**k over the recorded steps in ``window``."""
     lo, hi = window
-    pts = [
-        (n, d2)
-        for n, d2 in zip(trace.steps, trace.d2)
-        if lo <= n <= hi and 0.0 < d2 < _SATURATION_GUARD
-    ]
+    pts = []
+    for n, d2 in zip(trace.steps, trace.d2):
+        if lo <= n <= hi:
+            if math.isnan(d2):
+                raise ValueError(f"d2({n}) is NaN")
+            if 0.0 < d2 < _SATURATION_GUARD:
+                pts.append((n, d2))
     if len(pts) < 5:
         raise ValueError(f"window holds {len(pts)} usable points, need >= 5")
     return _slope([math.log(n) for n, _ in pts], [0.5 * math.log(d2) for _, d2 in pts])

@@ -250,6 +250,13 @@ def cmd_stability(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle_check(args: argparse.Namespace) -> int:
+    """Compare the engine with the closed forms at every step; exit 1 on a failure.
+
+    ``engine.iterate`` and ``oracle.predictions`` run side by side on one
+    schedule, each one cycle per loop turn: the oracle reads C+, the minus
+    cumulative and one angle per cycle and never an engine state.  A step
+    fails when one of its six deviations exceeds the tolerance or is NaN.
+    """
     schedule = parse_alpha1(args.alpha1, ScheduleMode.FIBONACCI, args.delta)
     seq = AngleSequence(schedule)
     weights = oracle.SuperpositionWeights(
@@ -259,14 +266,12 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
     tolerance = args.tolerance
     max_dev = 0.0
     first_fail = None
-    bloch, predict_head, predict_t3 = (engine.spin_bloch, oracle.head_bloch_superposed,
-                                       oracle.tape_sigma3)
-    for n, st in engine.iterate(seq, state, args.steps):
+    bloch = engine.spin_bloch
+    for (n, st), (p2, p3, p_t3) in zip(engine.iterate(seq, state, args.steps),
+                                       oracle.predictions(seq, weights, args.steps)):
         h1, h2, h3 = bloch(st, "head")
         t1, t2, t3 = bloch(st, "tape")
-        p1, p2, p3 = predict_head(seq, weights, n)
-        devs = (abs(h1 - p1), abs(h2 - p2), abs(h3 - p3), abs(t1), abs(t2),
-                abs(t3 - predict_t3(seq, n)))
+        devs = (abs(h1), abs(h2 - p2), abs(h3 - p3), abs(t1), abs(t2), abs(t3 - p_t3))
         dev = max(devs)
         # max() drops a NaN that is not its first argument; the sum of the
         # six deviations is NaN exactly when one of them is

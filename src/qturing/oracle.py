@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from math import cos, sin
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .engine import BlochVector
 from .schedule import (
@@ -48,7 +48,7 @@ class SuperpositionWeights:
     def __post_init__(self) -> None:
         wp, wm = abs(self.a_plus) ** 2, abs(self.a_minus) ** 2
         norm = wp + wm
-        if abs(norm - 1.0) > 1e-12:
+        if not abs(norm - 1.0) <= 1e-12:  # NaN fails too
             raise ValueError(f"weights must be normalized, |a+|^2+|a-|^2 = {norm}")
         object.__setattr__(self, "wp", wp)
         object.__setattr__(self, "wm", wm)
@@ -89,6 +89,30 @@ def tape_factor_undefined(m: int, config: ScheduleConfig) -> str | None:
     return None
 
 
+def _cycle(wp: float, wm: float, c_plus: float, c_even: float) -> tuple[float, float, float, float]:
+    """Head (s2, s3) of the branch mix at steps 2m - 1 and 2m of cycle m.
+
+    Both steps share C+ = ``c_plus``; the minus branch is at ``c_even``
+    after step 2m and at its reflection -c_even after step 2m - 1.
+    """
+    ps, pc = wp * sin(c_plus), wp * -cos(c_plus)
+    c_odd = wrap_angle(-c_even)
+    return (ps + wm * sin(c_odd), pc + wm * -cos(c_odd),
+            ps + wm * sin(c_even), pc + wm * -cos(c_even))
+
+
+def _tape(a: float, alpha1: float, flipped: int) -> float:
+    """Tape sigma3 at steps 2k and 2k + 1 from the angle a = a_{k+1}, which
+    already carries delta * F_k, and the wrapped alpha1; ``flipped`` is
+    k mod 2, that is whether n = 2 or 3 (mod 4)."""
+    return cos(a) if flipped else -cos(wrap_angle(a - alpha1))
+
+
+def _fibonacci_only(seq: AngleSequence) -> None:
+    if seq.config.mode is not ScheduleMode.FIBONACCI:
+        raise ValueError(f"tape formula requires a Fibonacci schedule, got {seq.config.mode}")
+
+
 def head_bloch_superposed(seq: AngleSequence, weights: SuperpositionWeights, n: int) -> BlochVector:
     """Head Bloch vector of a weighted superposition of the two branches.
 
@@ -100,14 +124,10 @@ def head_bloch_superposed(seq: AngleSequence, weights: SuperpositionWeights, n: 
     """
     if n < 0:
         raise ValueError(f"step index must be >= 0, got {n}")
-    wp, wm = weights.wp, weights.wm
-    c_plus = seq.cumulative_plus((n + 1) // 2)
-    c_minus = seq.cumulative_minus(n)
-    return BlochVector(
-        0.0,
-        wp * sin(c_plus) + wm * sin(c_minus),
-        wp * -cos(c_plus) + wm * -cos(c_minus),
-    )
+    m = (n + 1) // 2
+    o2, o3, e2, e3 = _cycle(weights.wp, weights.wm, seq.cumulative_plus(m),
+                            seq.cumulative_minus(2 * m))
+    return BlochVector(0.0, o2, o3) if n % 2 else BlochVector(0.0, e2, e3)
 
 
 def tape_sigma3(seq: AngleSequence, n: int) -> float:
@@ -119,14 +139,38 @@ def tape_sigma3(seq: AngleSequence, n: int) -> float:
     """
     if n < 0:
         raise ValueError(f"step index must be >= 0, got {n}")
-    cfg = seq.config
-    if cfg.mode is not ScheduleMode.FIBONACCI:
-        raise ValueError(f"tape formula requires a Fibonacci schedule, got {cfg.mode}")
-    # the emitted angle at index k+1 already carries delta * F_k
-    a = seq.angle(n // 2 + 1)
-    if n % 4 in (0, 1):
-        return -cos(wrap_angle(a - wrap_angle(cfg.alpha1)))
-    return cos(a)
+    _fibonacci_only(seq)
+    return _tape(seq.angle(n // 2 + 1), wrap_angle(seq.config.alpha1), n % 4 > 1)
+
+
+def predictions(seq: AngleSequence, weights: SuperpositionWeights,
+                steps: int) -> Iterator[tuple[float, float, float]]:
+    """Yield (head s2, head s3, tape s3) for n = 1..steps: bit for bit
+    ``head_bloch_superposed`` and ``tape_sigma3`` at step n, one cycle per
+    loop turn.
+
+    Cycle m reads three schedule values: C+(m) and the minus cumulative at
+    step 2m, which give the head at steps 2m - 1 and 2m, and a_{m+1},
+    whose tape value holds at steps 2m and 2m + 1 and so is carried into
+    the next turn.  a_1 is read once before the loop, and an odd ``steps``
+    ends on the first step of one more cycle.
+    """
+    if steps < 0:
+        raise ValueError(f"step count must be >= 0, got {steps}")
+    _fibonacci_only(seq)
+    wp, wm = weights.wp, weights.wm
+    plus, minus, angle = seq.cumulative_plus, seq.cumulative_minus, seq.angle
+    alpha1 = wrap_angle(seq.config.alpha1)
+    t3 = _tape(angle(1), alpha1, 0)
+    for m in range(1, steps // 2 + 1):
+        o2, o3, e2, e3 = _cycle(wp, wm, plus(m), minus(2 * m))
+        yield o2, o3, t3
+        t3 = _tape(angle(m + 1), alpha1, m % 2)
+        yield e2, e3, t3
+    if steps % 2:
+        m = steps // 2 + 1
+        o2, o3, _, _ = _cycle(wp, wm, plus(m), minus(2 * m))
+        yield o2, o3, t3
 
 
 def orbit_conditions(p: int, q: int, m: int) -> tuple[bool, bool, bool]:

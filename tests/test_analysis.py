@@ -167,6 +167,25 @@ def test_lyapunov_window_may_start_at_cycle_zero():
     assert lyapunov_estimate(trace, (0, 15)) == pytest.approx(LOG_GOLDEN_RATIO, rel=0.2)
 
 
+def _with_nan_at(trace, step):
+    d2 = list(trace.d2)
+    d2[trace.steps.index(step)] = math.nan
+    return replace(trace, d2=tuple(d2))
+
+
+@pytest.mark.parametrize("fit,window", [
+    (lyapunov_estimate, (5, 15)),
+    (fit_power_law, (4, 60)),
+], ids=["lyapunov", "power-law"])
+def test_fits_reject_a_nan_d2_in_their_window(fit, window):
+    # NaN compares False both ways, so it used to drop out of the fit unseen
+    trace = distance_trace(experiment(ScheduleMode.FIBONACCI, 1e-8, 80, Subsystem.HEAD))
+    clean = fit(trace, window)
+    with pytest.raises(ValueError, match=r"^d2\(20\) is NaN$"):
+        fit(_with_nan_at(trace, 20), window)
+    assert fit(_with_nan_at(trace, 80), window) == clean  # outside the window
+
+
 def test_distance_rows_stream_the_trace():
     cfg = experiment(ScheduleMode.FIBONACCI, 0.001, 105, Subsystem.TAPE, record_every=10)
     rows = distance_rows(cfg)

@@ -349,22 +349,28 @@ def test_oracle_check_detects_corrupted_pauli(capsys, monkeypatch):
     assert report["first_failing_step"] == 1
 
 
-@pytest.mark.parametrize("target", ["tape_sigma3", "head_s3"])
-def test_oracle_check_fails_on_nan_prediction(capsys, monkeypatch, target):
+@pytest.mark.parametrize("target,at,steps", [
+    ("tape_sigma3", 1, 10),
+    ("head_s3", 1, 10),
+    ("head_s2", 6, 10),     # an even step only
+    ("tape_sigma3", 11, 11),  # the odd tail step of an odd --steps
+], ids=["tape_sigma3", "head_s3", "head_s2-even-step", "tape_sigma3-odd-tail"])
+def test_oracle_check_fails_on_nan_prediction(capsys, monkeypatch, target, at, steps):
     # max() keeps a NaN only as its first argument, so a NaN in any deviation
     # but the head's s1 used to vanish from the step's maximum and pass
-    nan = float("nan")
-    if target == "tape_sigma3":
-        monkeypatch.setattr(oracle, "tape_sigma3", lambda seq, n: nan)
-    else:
-        head = oracle.head_bloch_superposed
-        monkeypatch.setattr(oracle, "head_bloch_superposed",
-                            lambda seq, weights, n: head(seq, weights, n)._replace(s3=nan))
-    assert run_cli("oracle-check", "--alpha1", "2/5", "--steps", "10") == 1
+    column = ("head_s2", "head_s3", "tape_sigma3").index(target)
+    stream = oracle.predictions
+
+    def predictions(seq, weights, count):
+        for n, row in enumerate(stream(seq, weights, count), 1):
+            yield row[:column] + (math.nan,) + row[column + 1:] if n == at else row
+
+    monkeypatch.setattr(oracle, "predictions", predictions)
+    assert run_cli("oracle-check", "--alpha1", "2/5", "--steps", str(steps)) == 1
     report = json.loads(capsys.readouterr().out,
                         parse_constant=lambda c: pytest.fail(f"report is not strict JSON: {c}"))
     assert report["pass"] is False
-    assert report["first_failing_step"] == 1
+    assert report["first_failing_step"] == at
     assert report["max_deviation"] < 1e-9
 
 
@@ -895,6 +901,22 @@ def test_commands_read_the_schedule_without_walks(tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     assert run_cli(*argv) == 0
     assert walks == []
+
+
+@pytest.mark.parametrize("alpha1", ["123/257", "1.2566370616"])
+@pytest.mark.parametrize("steps", [2000, 2001])
+def test_oracle_check_reads_the_schedule_four_times_per_cycle(monkeypatch, capsys, alpha1, steps):
+    # one angle for the engine; C+, the minus cumulative and one angle for
+    # the oracle, plus a_1 once before the oracle's first cycle
+    reads = []
+    for name in ("angle", "cumulative_plus", "cumulative_minus"):
+        real = getattr(schedule.AngleSequence, name)
+        monkeypatch.setattr(schedule.AngleSequence, name,
+                            lambda self, k, real=real, name=name: reads.append(name) or real(self, k))
+    assert run_cli("oracle-check", "--alpha1", alpha1, "--delta", "1e-3", "--steps", str(steps)) == 0
+    cycles = (steps + 1) // 2
+    assert len(reads) <= 4 * cycles + 1
+    assert reads.count("cumulative_plus") == reads.count("cumulative_minus") == cycles
 
 
 def test_stability_walks_at_most_once_per_sequence(monkeypatch):

@@ -138,6 +138,16 @@ def test_weights_must_be_normalized():
         SuperpositionWeights(1.0, 1.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(math.nan, 0.0),
+                                 complex(0.0, math.inf)])
+@pytest.mark.parametrize("side", ["a_plus", "a_minus"])
+def test_weights_reject_nan_and_inf(bad, side):
+    # abs(norm - 1.0) > 1e-12 is False for a NaN norm, which used to pass
+    amplitudes = {"a_plus": 0.0, "a_minus": 0.0, side: bad}
+    with pytest.raises(ValueError, match="must be normalized"):
+        SuperpositionWeights(**amplitudes)
+
+
 # --- tape polarization -----------------------------------------------------------
 
 def test_tape_sigma3_initial():
@@ -160,6 +170,47 @@ def test_tape_sigma3_matches_simulation(delta):
         sim = engine.bloch_vector(engine.reduce_spin(st, Subsystem.TAPE))
         assert abs(sim.s3 - tape_sigma3(seq, n)) < 1e-10
         assert abs(sim.s1) < 1e-12 and abs(sim.s2) < 1e-12
+
+
+def _hex_rows(rows):
+    return [tuple(v.hex() for v in row) for row in rows]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    alpha1=st.one_of(
+        st.tuples(st.integers(-60, 60), st.integers(1, 60)).map(lambda pq: Fraction(*pq)),
+        st.floats(-10.0, 10.0, allow_nan=False),
+    ),
+    delta=st.sampled_from([0.0, 1e-3, -1e-3, -0.5]),
+    steps=st.one_of(st.integers(1, 13), st.just(2001)),
+)
+@example(alpha1=Fraction(-3, 7), delta=-0.5, steps=2001)
+@example(alpha1=1.2566370616, delta=1e-3, steps=13)
+@example(alpha1=Fraction(0, 1), delta=0.0, steps=1)
+def test_predictions_equal_the_point_reads_bit_for_bit(alpha1, delta, steps):
+    if isinstance(alpha1, Fraction):
+        config = ScheduleConfig.exact_pi(alpha1.numerator, alpha1.denominator, delta=delta)
+    else:
+        config = ScheduleConfig(ScheduleMode.FIBONACCI, alpha1, delta=delta)
+    stream = list(oracle.predictions(AngleSequence(config), EQUAL_WEIGHTS, steps))
+    # a second sequence, so that the point reads share no cached value with the stream
+    seq = AngleSequence(config)
+    points = []
+    for n in range(1, steps + 1):
+        head = head_bloch_superposed(seq, EQUAL_WEIGHTS, n)
+        assert head.s1 == 0.0
+        points.append((head.s2, head.s3, tape_sigma3(seq, n)))
+    assert _hex_rows(stream) == _hex_rows(points)
+
+
+def test_predictions_reject_other_modes_and_negative_steps():
+    seq = AngleSequence(ScheduleConfig(ScheduleMode.FIXED, 0.3))
+    with pytest.raises(ValueError, match="Fibonacci"):
+        next(oracle.predictions(seq, EQUAL_WEIGHTS, 4))
+    with pytest.raises(ValueError, match="must be >= 0"):
+        next(oracle.predictions(fib_seq(0.3), EQUAL_WEIGHTS, -1))
+    assert list(oracle.predictions(fib_seq(0.3), EQUAL_WEIGHTS, 0)) == []
 
 
 def test_tape_sigma3_rejects_other_modes():
