@@ -70,13 +70,31 @@ def trajectory_bloch(
     initial: State,
     steps: int,
     record_every: int = 1,
-) -> Iterator[tuple[int, BlochVector]]:
-    """(step, head Bloch vector) of a single trajectory, yielded as it
-    advances: every ``record_every`` steps and at the last step."""
-    spin_bloch = engine.spin_bloch
-    for n, state in engine.iterate(seq, initial, steps):
-        if n % record_every == 0 or n == steps:
-            yield n, spin_bloch(state, "head")
+) -> Iterator[tuple[int, float, float, float]]:
+    """(step, head s1, s2, s3) rows of a single trajectory, yielded as it
+    advances: every ``record_every`` steps and at the last step.
+
+    One cycle (rotation, then conditional NOT) per loop turn, as
+    ``engine.iterate`` steps it, with the head read by ``engine.head_bloch``;
+    an odd ``steps`` ends on the tail rotation.  A negative ``steps`` or a
+    ``record_every`` below 1 raises ValueError.
+    """
+    if steps < 0:
+        raise ValueError(f"step count must be >= 0, got {steps}")
+    if record_every < 1:
+        raise ValueError(f"record_every must be >= 1, got {record_every}")
+    angle = seq.angle
+    rotate, flip, head = engine.apply_head_rotation, engine.apply_qcnot, engine.head_bloch
+    state = initial
+    for m in range(1, steps // 2 + 1):
+        state = rotate(state, angle(m))
+        if (2 * m - 1) % record_every == 0:
+            yield (2 * m - 1, *head(state))
+        state = flip(state)
+        if (2 * m) % record_every == 0 or 2 * m == steps:
+            yield (2 * m, *head(state))
+    if steps % 2:
+        yield (steps, *head(rotate(state, angle(steps // 2 + 1))))
 
 
 def distance_rows(cfg: ExperimentConfig) -> Iterator[tuple[int, float, float]]:

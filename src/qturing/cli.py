@@ -166,7 +166,7 @@ def cmd_pattern(args: argparse.Namespace) -> int:
     records = analysis.trajectory_bloch(seq, initial, args.steps, args.record_every)
     rows = (
         "%d,%.17g,%.17g,%.17g,%.17g" % (n, s1, s2, s3, s1 * s1 + s2 * s2 + s3 * s3)
-        for n, (s1, s2, s3) in records
+        for n, s1, s2, s3 in records
     )
     config = {
         "schedule": _config_json(schedule),
@@ -254,8 +254,11 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
 
     ``engine.iterate`` and ``oracle.predictions`` run side by side on one
     schedule, each one cycle per loop turn: the oracle reads C+, the minus
-    cumulative and one angle per cycle and never an engine state.  A step
-    fails when one of its six deviations exceeds the tolerance or is NaN.
+    cumulative and one angle per cycle and never an engine state.  The
+    engine's Bloch vectors are the plain tuples of ``engine.head_bloch`` and
+    ``engine.tape_bloch``.  A step fails when one of its six deviations
+    exceeds the tolerance or is NaN; two streams of unequal length raise
+    ValueError, which ``main`` turns into exit 2 with no report.
     """
     schedule = parse_alpha1(args.alpha1, ScheduleMode.FIBONACCI, args.delta)
     seq = AngleSequence(schedule)
@@ -266,11 +269,12 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
     tolerance = args.tolerance
     max_dev = 0.0
     first_fail = None
-    bloch = engine.spin_bloch
+    head, tape = engine.head_bloch, engine.tape_bloch
     for (n, st), (p2, p3, p_t3) in zip(engine.iterate(seq, state, args.steps),
-                                       oracle.predictions(seq, weights, args.steps)):
-        h1, h2, h3 = bloch(st, "head")
-        t1, t2, t3 = bloch(st, "tape")
+                                       oracle.predictions(seq, weights, args.steps),
+                                       strict=True):
+        h1, h2, h3 = head(st)
+        t1, t2, t3 = tape(st)
         devs = (abs(h1), abs(h2 - p2), abs(h3 - p3), abs(t1), abs(t2), abs(t3 - p_t3))
         dev = max(devs)
         # max() drops a NaN that is not its first argument; the sum of the

@@ -21,6 +21,13 @@ self-inverse.  So head s1 and tape s2 are 0 by construction.  A sigma2 or
 sigma3 rotation, or a complex tape ket, would leave this subspace.  All
 operations are pure functions of the state.
 
+A Bloch vector is read from the four floats: ``head_bloch`` and
+``tape_bloch`` each write one spin's formula once and return a plain
+``(s1, s2, s3)`` tuple, which is what the per-step loops of ``pattern``
+(``analysis.trajectory_bloch``) and ``oracle-check`` read.  ``spin_bloch``
+is the named view built on them: it picks the spin by name and returns a
+``BlochVector``.
+
 ``reduce_spin``, ``bloch_vector``, ``distance_sq`` and ``overlap_sq`` remain
 only as the density-matrix route: the tests hold the amplitude route to
 them, and the benchmark's tracer wraps them by name.  The two that take
@@ -157,18 +164,31 @@ def bloch_vector(rho: Matrix2) -> BlochVector:
     return BlochVector(*(v.real + 0.0 for v in traces))
 
 
-def spin_bloch(state: State, spin: Subsystem | str) -> BlochVector:
-    """Bloch vector of one spin from the four floats: the value of
-    ``bloch_vector(reduce_spin(state, spin))`` without forming the matrix.
-    Adding 0.0 turns a -0.0 into 0.0, which the matrix route never emits.
+def head_bloch(state: State) -> tuple[float, float, float]:
+    """Head Bloch vector (s1, s2, s3) of a state, as a plain tuple: the value
+    of ``bloch_vector(reduce_spin(state, "head"))`` without forming the
+    matrix.  Adding 0.0 turns a -0.0 into 0.0, which the matrix route never
+    emits.
     """
     x0, x1, y2, y3 = state
+    return (0.0, -2.0 * (x0 * y2 + x1 * y3) + 0.0,
+            (y2 * y2 + y3 * y3) - (x0 * x0 + x1 * x1) + 0.0)
+
+
+def tape_bloch(state: State) -> tuple[float, float, float]:
+    """Tape Bloch vector (s1, s2, s3) of a state, as a plain tuple; see
+    ``head_bloch``."""
+    x0, x1, y2, y3 = state
+    return (2.0 * (x0 * x1 + y2 * y3) + 0.0, 0.0,
+            (x1 * x1 + y3 * y3) - (x0 * x0 + y2 * y2) + 0.0)
+
+
+def spin_bloch(state: State, spin: Subsystem | str) -> BlochVector:
+    """``head_bloch`` or ``tape_bloch`` of one spin, as a named BlochVector."""
     if spin == "head":  # a Subsystem member equals its value
-        return BlochVector(0.0, -2.0 * (x0 * y2 + x1 * y3) + 0.0,
-                           (y2 * y2 + y3 * y3) - (x0 * x0 + x1 * x1) + 0.0)
+        return BlochVector(*head_bloch(state))
     if spin == "tape":
-        return BlochVector(2.0 * (x0 * x1 + y2 * y3) + 0.0, 0.0,
-                           (x1 * x1 + y3 * y3) - (x0 * x0 + y2 * y2) + 0.0)
+        return BlochVector(*tape_bloch(state))
     raise ValueError(f"spin must be 'head' or 'tape', got {spin!r}")
 
 

@@ -4,6 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import reference
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qturing.analysis import (
     ExperimentConfig,
@@ -350,6 +352,53 @@ def test_tape_stability_rejects_degenerate_angle():
 def test_trajectory_bloch_record_shape():
     seq = AngleSequence(TWO_FIFTHS_PI)
     recs = list(trajectory_bloch(seq, engine.init_state(0.0), 20, record_every=5))
-    assert [n for n, _ in recs] == [5, 10, 15, 20]
-    for _, head in recs:
-        assert abs(head.s1) < 1e-12
+    assert [n for n, *_ in recs] == [5, 10, 15, 20]
+    for rec in recs:
+        assert type(rec) is tuple and len(rec) == 4
+        assert abs(rec[1]) < 1e-12
+
+
+@pytest.mark.parametrize("record_every", [0, -2])
+def test_trajectory_bloch_rejects_record_every_below_one(record_every):
+    # 0 would divide by zero, and -2 would record every second step
+    seq = AngleSequence(TWO_FIFTHS_PI)
+    with pytest.raises(ValueError, match=f"^record_every must be >= 1, got {record_every}$"):
+        list(trajectory_bloch(seq, engine.init_state(0.0), 20, record_every))
+
+
+def test_trajectory_bloch_rejects_negative_steps():
+    seq = AngleSequence(TWO_FIFTHS_PI)
+    with pytest.raises(ValueError, match="^step count must be >= 0, got -1$"):
+        list(trajectory_bloch(seq, engine.init_state(0.0), -1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    alpha1=st.one_of(
+        st.tuples(st.integers(-40, 40), st.integers(1, 300)),  # exact (p/q)*pi
+        st.floats(min_value=-7.0, max_value=7.0),
+    ),
+    mode=st.sampled_from(ScheduleMode),
+    tape=st.sampled_from(engine.TapeState),
+    head_angle=st.sampled_from([0.0, 0.3, -1.1, math.pi / 2, math.pi, 2.5]),
+    steps=st.sampled_from([1, 2, 3, 61, 2001]),
+    record_every=st.sampled_from([1, 2, 7, 10]),
+)
+def test_trajectory_bloch_rows_equal_spin_bloch_over_iterate(
+        alpha1, mode, tape, head_angle, steps, record_every):
+    # the one-cycle-per-turn loop gives the rows that spin_bloch read over
+    # engine.iterate gave before it, bit for bit
+    if isinstance(alpha1, tuple):
+        schedule = ScheduleConfig.exact_pi(*alpha1, mode=mode)
+    else:
+        schedule = ScheduleConfig(mode=mode, alpha1=alpha1)
+    seq = AngleSequence(schedule)
+    initial = engine.init_state(head_angle, tape)
+    expected = [
+        (n, *(x.hex() for x in engine.spin_bloch(state, "head")))
+        for n, state in engine.iterate(seq, initial, steps)
+        if n % record_every == 0 or n == steps
+    ]
+    got = [(n, *(x.hex() for x in bloch))
+           for n, *bloch in trajectory_bloch(seq, initial, steps, record_every)]
+    assert got == expected

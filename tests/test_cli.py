@@ -335,13 +335,12 @@ def test_oracle_check_detects_corrupted_pauli(capsys, monkeypatch):
     # and the very first rotation step must disagree with the closed forms
     # (test_engine's test_negated_sigma2_separates_the_bloch_routes keeps a
     # sign error in the reference's PAULI itself visible)
-    spin_bloch = engine.spin_bloch
+    for name in ("head_bloch", "tape_bloch"):
+        def negated_s2(state, bloch=getattr(engine, name)):
+            s1, s2, s3 = bloch(state)
+            return s1, -s2, s3
 
-    def negated_s2(state, spin):
-        s1, s2, s3 = spin_bloch(state, spin)
-        return engine.BlochVector(s1, -s2, s3)
-
-    monkeypatch.setattr(engine, "spin_bloch", negated_s2)
+        monkeypatch.setattr(engine, name, negated_s2)
     assert run_cli("oracle-check", "--alpha1", "0.3", "--delta", "0",
                    "--steps", "10") == 1
     report = json.loads(capsys.readouterr().out)
@@ -372,6 +371,50 @@ def test_oracle_check_fails_on_nan_prediction(capsys, monkeypatch, target, at, s
     assert report["pass"] is False
     assert report["first_failing_step"] == at
     assert report["max_deviation"] < 1e-9
+
+
+@pytest.mark.parametrize("change", [-1, 1], ids=["one-short", "one-long"])
+def test_oracle_check_rejects_a_prediction_stream_of_another_length(
+        capsys, monkeypatch, tmp_path, change):
+    # zip() would stop at the shorter stream and pass on the steps it compared
+    stream = oracle.predictions
+
+    def predictions(seq, weights, count):
+        rows = list(stream(seq, weights, count))
+        yield from rows[:change] if change < 0 else rows + rows[-change:]
+
+    monkeypatch.setattr(oracle, "predictions", predictions)
+    err = assert_usage_error(capsys, "oracle-check", "--alpha1", "2/5", "--steps", "10")
+    assert "argument 2" in err
+    out = tmp_path / "oracle.json"
+    assert_usage_error(capsys, "oracle-check", "--alpha1", "2/5", "--steps", "10",
+                       "--out", str(out))
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["pattern", "--alpha1", "2/5", "--steps", "2001", "--tape", "plus"],
+    ["pattern", "--alpha1", "0.3", "--steps", "2000", "--record-every", "7"],
+    ["oracle-check", "--alpha1", "2/5", "--delta", "0.001", "--steps", "2001"],
+    ["oracle-check", "--alpha1", "0.3", "--steps", "2000"],
+], ids=lambda argv: "-".join(argv[:5:2]))
+def test_per_step_paths_build_no_bloch_vector(tmp_path, monkeypatch, argv):
+    # the loops of pattern and oracle-check read plain tuples; a NamedTuple
+    # built per row or per step costs about half of each Bloch read
+    built = [0]
+    named = engine.BlochVector
+
+    def counted(*args):
+        built[0] += 1
+        return named(*args)
+
+    monkeypatch.setattr(engine, "BlochVector", counted)
+    engine.spin_bloch(engine.init_state(0.3), "head")
+    assert built == [1]  # the counter sees spin_bloch's construction
+    built[0] = 0
+    out = ["--out", str(tmp_path / "out.csv")] if argv[0] == "pattern" else []
+    assert run_cli(*argv, *out) == 0
+    assert built == [0]
 
 
 @pytest.mark.parametrize("alpha1", ["2/5", "1.2566370616"])
@@ -683,7 +726,7 @@ class _Abort(Exception):
 
 
 #: the engine function each streamed command calls once per CSV row
-_ROW_CALL = {"pattern": "spin_bloch", "distance": "pair_metrics"}
+_ROW_CALL = {"pattern": "head_bloch", "distance": "pair_metrics"}
 
 
 def _fail_after(monkeypatch, tmp_path, calls, command="pattern"):
@@ -803,7 +846,8 @@ def test_streamed_pattern_matches_joined_text(tmp_path):
     seq = analysis.AngleSequence(parse_alpha1("0.3", ScheduleMode.FIBONACCI, 0.0))
     recs = analysis.trajectory_bloch(seq, engine.init_state(0.0), 9000)
     lines = ["n,s1,s2,s3,purity"] + [
-        f"{n},{h.s1:.17g},{h.s2:.17g},{h.s3:.17g},{h.length_sq():.17g}" for n, h in recs
+        f"{n},{s1:.17g},{s2:.17g},{s3:.17g},{engine.BlochVector(s1, s2, s3).length_sq():.17g}"
+        for n, s1, s2, s3 in recs
     ]
     data = ("\n".join(lines) + "\n").encode("utf-8")
     assert out.read_bytes() == data
@@ -827,7 +871,8 @@ def test_streamed_distance_matches_collected_trace(tmp_path):
 
 def test_oracle_check_fails_on_nan_deviation(capsys, monkeypatch):
     nan = float("nan")
-    monkeypatch.setattr(engine, "spin_bloch", lambda state, spin: engine.BlochVector(nan, nan, nan))
+    for name in ("head_bloch", "tape_bloch"):
+        monkeypatch.setattr(engine, name, lambda state: (nan, nan, nan))
     assert run_cli("oracle-check", "--alpha1", "0.3", "--steps", "10") == 1
     report = json.loads(capsys.readouterr().out)
     assert report["pass"] is False

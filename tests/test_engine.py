@@ -16,12 +16,14 @@ from qturing.engine import (
     apply_qcnot,
     bloch_vector,
     distance_sq,
+    head_bloch,
     init_state,
     iterate,
     overlap_sq,
     pair_metrics,
     reduce_spin,
     spin_bloch,
+    tape_bloch,
 )
 from qturing.schedule import AngleSequence, ScheduleConfig, ScheduleMode
 
@@ -467,11 +469,15 @@ raw_state_strategy = st.tuples(*[part_strategy] * 4)
 @given(state=st.one_of(state_strategy, raw_state_strategy))
 def test_spin_bloch_matches_density_matrix_route(state):
     # the same floats, signed zeros included: compared by repr, not by value;
-    # the Pauli-matrix products give the same values
-    for spin in (Subsystem.HEAD, Subsystem.TAPE, "head", "tape"):
+    # the Pauli-matrix products give the same values; head_bloch and
+    # tape_bloch give them as plain tuples
+    for spin, plain in ((Subsystem.HEAD, head_bloch), (Subsystem.TAPE, tape_bloch),
+                        ("head", head_bloch), ("tape", tape_bloch)):
         rho = reduce_spin(state, spin)
         assert repr(spin_bloch(state, spin)) == repr(bloch_vector(rho))
         assert spin_bloch(state, spin) == pauli_bloch(rho)
+        assert type(plain(state)) is tuple
+        assert repr(plain(state)) == repr(tuple(bloch_vector(rho)))
 
 
 def test_negated_sigma2_separates_the_bloch_routes(monkeypatch):
