@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Iterator
 
 from . import engine, oracle
-from .engine import BlochVector, State, Subsystem
+from .engine import State, Subsystem
 from .schedule import AngleSequence, ScheduleConfig
 
 _SATURATION_GUARD = 0.5  # keep divergence fits clear of the d2 <= 2 ceiling
@@ -160,19 +160,17 @@ def lyapunov_estimate(trace: DistanceTrace, fit_window: tuple[int, int]) -> floa
     check_fit_window(fit_window)
     m_lo, m_hi = fit_window
     ms, logs = [], []
-    for m in range(m_lo, m_hi + 1):
-        try:
-            val = trace.d2_at(2 * m)
-        except KeyError:
+    for n, val in zip(trace.steps, trace.d2):
+        if n % 2 or not 2 * m_lo <= n <= 2 * m_hi:
             continue
         if math.isnan(val):
-            raise ValueError(f"d2({2 * m}) is NaN")
+            raise ValueError(f"d2({n}) is NaN")
         if val >= _SATURATION_GUARD:
             raise ValueError(
-                f"window reaches saturation: d2({2 * m}) = {val:.3g} >= {_SATURATION_GUARD}"
+                f"window reaches saturation: d2({n}) = {val:.3g} >= {_SATURATION_GUARD}"
             )
         if val > 0.0:
-            ms.append(m)
+            ms.append(n // 2)
             logs.append(0.5 * math.log(val))
     if len(ms) < 5:
         raise ValueError(f"window holds {len(ms)} usable points, need >= 5")
@@ -218,16 +216,16 @@ class StabilityResult:
     tape: float | None
 
 
-def _orbit_run(schedule: ScheduleConfig, m: int, delta: float) -> tuple[BlochVector, float, float]:
-    """Head Bloch vector at step 2m and tape sigma3 at steps 2 and 2m + 2 of
-    the run with head preparation and schedule seed both set to delta."""
+def _orbit_run(schedule: ScheduleConfig, m: int, delta: float) -> tuple[float, float, float, float]:
+    """Head s2 and s3 at step 2m and tape s3 at steps 2 and 2m + 2 of the
+    run with head preparation and schedule seed both set to delta."""
     seq = AngleSequence(replace(schedule, delta=delta))
     for n, state in engine.iterate(seq, engine.init_state(delta), 2 * m + 2):
         if n == 2:
-            tape_2 = engine.spin_bloch(state, "tape").s3
+            tape_2 = engine.tape_bloch(state)[2]
         if n == 2 * m:
-            head = engine.spin_bloch(state, "head")
-    return head, tape_2, engine.spin_bloch(state, "tape").s3
+            _, s2, s3 = engine.head_bloch(state)
+    return s2, s3, tape_2, engine.tape_bloch(state)[2]
 
 
 def stability_numeric(
@@ -258,16 +256,16 @@ def stability_numeric(
     conds = list(oracle.orbit_conditions(p, q, m))
     if not all(conds):
         raise NoPeriodicOrbit(p, q, m, conds)
-    closure, tape_2a, tape_end_a = _orbit_run(schedule, m, 0.0)
-    if abs(closure.s2) > 1e-8 or abs(closure.s3 + 1.0) > 1e-8:
-        raise ValueError(f"orbit fails to close after {2 * m} steps: {closure}")
+    s2, s3, tape_2a, tape_end_a = _orbit_run(schedule, m, 0.0)
+    if abs(s2) > 1e-8 or abs(s3 + 1.0) > 1e-8:
+        raise ValueError(f"orbit fails to close after {2 * m} steps: head (s2, s3) = ({s2}, {s3})")
     tape_defined = oracle.tape_factor_undefined(m, schedule) is None
 
     results = []
     for delta in deltas:
-        head, tape_2b, tape_end_b = _orbit_run(schedule, m, delta)
-        m11 = head.s2 / math.sin(delta)
-        m22 = head.s3 / (-math.cos(delta))
+        s2, s3, tape_2b, tape_end_b = _orbit_run(schedule, m, delta)
+        m11 = s2 / math.sin(delta)
+        m22 = s3 / (-math.cos(delta))
         m11_closed, m22_closed = oracle.stability_matrix_closed(m, delta)
         for num, closed, name in ((m11, m11_closed, "M11"), (m22, m22_closed, "M22")):
             if abs(num - closed) > 1e-8 * abs(closed):

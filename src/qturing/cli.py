@@ -221,8 +221,7 @@ def cmd_stability(args: argparse.Namespace) -> int:
         _emit_report(report, args.out, "stability", config)
         raise
     p, q = schedule.exact
-    seq = AngleSequence(schedule) if found[0].tape is not None else None  # tape limit wanted
-    limits = oracle.stability_limits(args.m, seq)
+    limits = oracle.stability_limits(args.m, schedule)
     results = []
     for res in found:
         row = {

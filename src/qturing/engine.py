@@ -21,12 +21,11 @@ self-inverse.  So head s1 and tape s2 are 0 by construction.  A sigma2 or
 sigma3 rotation, or a complex tape ket, would leave this subspace.  All
 operations are pure functions of the state.
 
-A Bloch vector is read from the four floats: ``head_bloch`` and
-``tape_bloch`` each write one spin's formula once and return a plain
-``(s1, s2, s3)`` tuple, which is what the per-step loops of ``pattern``
-(``analysis.trajectory_bloch``) and ``oracle-check`` read.  ``spin_bloch``
-is the named view built on them: it picks the spin by name and returns a
-``BlochVector``.
+A Bloch vector is a plain ``(s1, s2, s3)`` float tuple.  ``head_bloch``
+and ``tape_bloch`` read one from the four floats, each writing one spin's
+formula once; the per-step loops of ``pattern``
+(``analysis.trajectory_bloch``) and ``oracle-check`` read them, and so does
+``stability`` (``analysis._orbit_run``).
 
 ``reduce_spin``, ``bloch_vector``, ``distance_sq`` and ``overlap_sq`` remain
 only as the density-matrix route: the tests hold the amplitude route to
@@ -41,7 +40,7 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 from .schedule import AngleSequence
 
@@ -66,15 +65,6 @@ class Subsystem(str, Enum):
     HEAD = "head"
     TAPE = "tape"
     NETWORK = "network"
-
-
-class BlochVector(NamedTuple):
-    s1: float
-    s2: float
-    s3: float
-
-    def length_sq(self) -> float:
-        return self.s1 * self.s1 + self.s2 * self.s2 + self.s3 * self.s3
 
 
 _TAPE_AMPLITUDES = {
@@ -149,7 +139,7 @@ def reduce_spin(state: State, spin: Subsystem | str) -> Matrix2:
     return ((c0 * k0 + c1 * k1, c0 * k2 + c1 * k3), (c2 * k0 + c3 * k1, c2 * k2 + c3 * k3))
 
 
-def bloch_vector(rho: Matrix2) -> BlochVector:
+def bloch_vector(rho: Matrix2) -> tuple[float, float, float]:
     """Pauli expectation values (Tr rho sigma_j) of a 2x2 density matrix.
 
     Tr rho sigma1 = rho_01 + rho_10, Tr rho sigma2 = i (rho_10 - rho_01) and
@@ -161,7 +151,7 @@ def bloch_vector(rho: Matrix2) -> BlochVector:
     for v in traces:
         if abs(v.imag) > 1e-9:
             raise ValueError(f"density matrix is corrupted: Im Tr(rho sigma) = {v.imag}")
-    return BlochVector(*(v.real + 0.0 for v in traces))
+    return tuple(v.real + 0.0 for v in traces)
 
 
 def head_bloch(state: State) -> tuple[float, float, float]:
@@ -181,15 +171,6 @@ def tape_bloch(state: State) -> tuple[float, float, float]:
     x0, x1, y2, y3 = state
     return (2.0 * (x0 * x1 + y2 * y3) + 0.0, 0.0,
             (x1 * x1 + y3 * y3) - (x0 * x0 + y2 * y2) + 0.0)
-
-
-def spin_bloch(state: State, spin: Subsystem | str) -> BlochVector:
-    """``head_bloch`` or ``tape_bloch`` of one spin, as a named BlochVector."""
-    if spin == "head":  # a Subsystem member equals its value
-        return BlochVector(*head_bloch(state))
-    if spin == "tape":
-        return BlochVector(*tape_bloch(state))
-    raise ValueError(f"spin must be 'head' or 'tape', got {spin!r}")
 
 
 def distance_sq(rho_a: Matrix2, rho_b: Matrix2) -> float:

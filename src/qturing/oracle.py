@@ -5,7 +5,8 @@ engine produces by direct simulation: superposed head trajectories (unit
 weights (1, 0) and (0, 1) give the primitive, entanglement-free branches),
 the tape polarization, periodic-orbit closure in exact integer arithmetic,
 and the stability factors of periodic orbits under a seed perturbation.
-Pure functions throughout.
+Pure functions throughout.  They read only the angle schedule and import
+nothing from the engine; a Bloch vector is a plain ``(s1, s2, s3)`` tuple.
 
 Head and tape predictions assume the head is prepared with the schedule's
 seed perturbation delta, as ``engine.init_state(delta)`` does.
@@ -17,7 +18,6 @@ from math import cos, sin
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple
 
-from .engine import BlochVector
 from .schedule import (
     AngleSequence,
     ScheduleConfig,
@@ -113,7 +113,8 @@ def _fibonacci_only(seq: AngleSequence) -> None:
         raise ValueError(f"tape formula requires a Fibonacci schedule, got {seq.config.mode}")
 
 
-def head_bloch_superposed(seq: AngleSequence, weights: SuperpositionWeights, n: int) -> BlochVector:
+def head_bloch_superposed(seq: AngleSequence, weights: SuperpositionWeights,
+                          n: int) -> tuple[float, float, float]:
     """Head Bloch vector of a weighted superposition of the two branches.
 
     The tape eigenstates stay orthogonal for all times, so the reduced head
@@ -127,7 +128,7 @@ def head_bloch_superposed(seq: AngleSequence, weights: SuperpositionWeights, n: 
     m = (n + 1) // 2
     o2, o3, e2, e3 = _cycle(weights.wp, weights.wm, seq.cumulative_plus(m),
                             seq.cumulative_minus(2 * m))
-    return BlochVector(0.0, o2, o3) if n % 2 else BlochVector(0.0, e2, e3)
+    return (0.0, o2, o3) if n % 2 else (0.0, e2, e3)
 
 
 def tape_sigma3(seq: AngleSequence, n: int) -> float:
@@ -264,22 +265,19 @@ def periodic_orbit_check(p: int, q: int) -> int:
     return 2 * n
 
 
-def stability_limits(m: int, seq: AngleSequence | None = None) -> StabilityLimits:
+def stability_limits(m: int, config: ScheduleConfig) -> StabilityLimits:
     """Small-perturbation limits of the orbit stability factors at cycle m.
 
-    Returns (F_{m-1}, 1, F_{m+1} * sin(a_{m+2}) / sin(a_1)); the tape factor
-    needs the angle schedule and is only defined for periods divisible by 4,
-    so it is None unless ``seq`` is given.
+    Returns (F_{m-1}, 1, F_{m+1} * sin(a_{m+2}) / sin(a_1)) for the angle
+    schedule of ``config``; the tape factor is None exactly where
+    ``tape_factor_undefined`` gives a reason.
     """
     if m < 1:
         raise ValueError(f"cycle index must be >= 1, got {m}")
     _check_fib_index(m + 2)
     tape = None
-    if seq is not None:
-        reason = tape_factor_undefined(m, seq.config)
-        if reason is not None:
-            raise ValueError(reason)
-        tape = fib(m + 1) * sin(seq.angle(m + 2)) / sin_alpha1(seq.config)
+    if tape_factor_undefined(m, config) is None:
+        tape = fib(m + 1) * sin(AngleSequence(config).angle(m + 2)) / sin_alpha1(config)
     return StabilityLimits(fib(m - 1), 1.0, tape)
 
 

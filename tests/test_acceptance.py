@@ -64,12 +64,12 @@ def test_criterion_1_oracle_equivalence():
                 t3 = oracle.tape_sigma3(seq, n)
                 worst = max(
                     worst,
-                    abs(head.s1 - pred.s1),
-                    abs(head.s2 - pred.s2),
-                    abs(head.s3 - pred.s3),
-                    abs(tape.s1),
-                    abs(tape.s2),
-                    abs(tape.s3 - t3),
+                    abs(head[0] - pred[0]),
+                    abs(head[1] - pred[1]),
+                    abs(head[2] - pred[2]),
+                    abs(tape[0]),
+                    abs(tape[1]),
+                    abs(tape[2] - t3),
                 )
     elapsed = time.perf_counter() - start
     ok = worst < 1e-9 and elapsed < 1.0
@@ -86,8 +86,8 @@ def test_criterion_2_periodicity():
     seq = AngleSequence(_schedule((2, 5)))
     pts = []
     for n, st in engine.iterate(seq, engine.init_state(0.0), 120):
-        head, _ = _head_tape(st)
-        pts.append((head.s2, head.s3))
+        (_, s2, s3), _ = _head_tape(st)
+        pts.append((s2, s3))
 
     period_40 = all(
         abs(pts[n][0] - pts[n + 40][0]) < 1e-12 and abs(pts[n][1] - pts[n + 40][1]) < 1e-12
@@ -131,10 +131,10 @@ def test_criterion_3_aperiodicity():
     seq = AngleSequence(_schedule(APERIODIC_ALPHA1))
     even_pts, all_pts = [], []
     for n, st in engine.iterate(seq, engine.init_state(0.0), 10_000):
-        head, _ = _head_tape(st)
-        all_pts.append((head.s2, head.s3))
+        (_, s2, s3), _ = _head_tape(st)
+        all_pts.append((s2, s3))
         if n % 2 == 0:
-            even_pts.append((head.s2, head.s3))
+            even_pts.append((s2, s3))
 
     # once-per-cycle section points: no pair within 1e-9 in both components
     grid = {}
@@ -156,8 +156,8 @@ def test_criterion_3_aperiodicity():
     # same enumeration through the closed forms
     oracle_distinct = set()
     for n in range(1, 10_001):
-        b = oracle.head_bloch_superposed(seq, EQUAL, n)
-        oracle_distinct.add((round(b.s2, 9), round(b.s3, 9)))
+        _, s2, s3 = oracle.head_bloch_superposed(seq, EQUAL, n)
+        oracle_distinct.add((round(s2, 9), round(s3, 9)))
 
     elapsed = time.perf_counter() - start
     ok = (
@@ -327,8 +327,8 @@ def test_criterion_7_property_suites():
         for tape in (TapeState.PLUS, TapeState.MINUS):
             seq = AngleSequence(_schedule(0.3))
             for n, st in engine.iterate(seq, engine.init_state(phi0, tape), 2000):
-                head, _ = _head_tape(st)
-                if abs(head.length_sq() - 1.0) > 1e-10 or abs(head.s1) > 1e-10:
+                (s1, s2, s3), _ = _head_tape(st)
+                if abs(s1 * s1 + s2 * s2 + s3 * s3 - 1.0) > 1e-10 or abs(s1) > 1e-10:
                     purity_ok = False
                     break
 
@@ -337,7 +337,7 @@ def test_criterion_7_property_suites():
     seq = AngleSequence(_schedule(1.1))
     for n, st in engine.iterate(seq, engine.init_state(0.0), 2000):
         head, tape = _head_tape(st)
-        if abs(head.s1) > 1e-10 or abs(tape.s1) > 1e-10 or abs(tape.s2) > 1e-10:
+        if abs(head[0]) > 1e-10 or abs(tape[0]) > 1e-10 or abs(tape[1]) > 1e-10:
             confinement_ok = False
             break
 

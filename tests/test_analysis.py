@@ -274,7 +274,7 @@ def test_stability_matrix_trivial_orbit():
 
 
 def test_stability_matrix_converges_to_limits():
-    limits = stability_limits(20)
+    limits = stability_limits(20, TWO_FIFTHS_PI)
     errs_m11, errs_m22 = [], []
     for res in stability_numeric(20, (1e-4, 1e-5, 1e-6), TWO_FIFTHS_PI):
         errs_m11.append(abs(res.m11 - limits.m11) / limits.m11)
@@ -327,7 +327,7 @@ def test_tape_stability_matches_closed_difference_quotient():
 
 
 def test_tape_stability_converges_to_limit():
-    limit = stability_limits(20, AngleSequence(TWO_FIFTHS_PI)).tape
+    limit = stability_limits(20, TWO_FIFTHS_PI).tape
     errs = []
     for res in stability_numeric(20, (1e-4, 1e-5, 1e-6, 1e-7), TWO_FIFTHS_PI):
         errs.append(abs(res.tape - limit) / limit)
@@ -386,8 +386,8 @@ def test_trajectory_bloch_rejects_negative_steps():
 )
 def test_trajectory_bloch_rows_equal_spin_bloch_over_iterate(
         alpha1, mode, tape, head_angle, steps, record_every):
-    # the one-cycle-per-turn loop gives the rows that spin_bloch read over
-    # engine.iterate gave before it, bit for bit
+    # the one-cycle-per-turn loop gives the rows that head_bloch reads over
+    # engine.iterate, bit for bit
     if isinstance(alpha1, tuple):
         schedule = ScheduleConfig.exact_pi(*alpha1, mode=mode)
     else:
@@ -395,7 +395,7 @@ def test_trajectory_bloch_rows_equal_spin_bloch_over_iterate(
     seq = AngleSequence(schedule)
     initial = engine.init_state(head_angle, tape)
     expected = [
-        (n, *(x.hex() for x in engine.spin_bloch(state, "head")))
+        (n, *(x.hex() for x in engine.head_bloch(state)))
         for n, state in engine.iterate(seq, initial, steps)
         if n % record_every == 0 or n == steps
     ]

@@ -129,8 +129,8 @@ def test_pattern_bytes_match_density_matrix_route(tmp_path, argv):
     lines = ["n,s1,s2,s3,purity"]
     for n, state in engine.iterate(seq, initial, steps):
         if n % every == 0 or n == steps:
-            h = engine.bloch_vector(engine.reduce_spin(state, engine.Subsystem.HEAD))
-            lines.append(f"{n},{h.s1:.17g},{h.s2:.17g},{h.s3:.17g},{h.length_sq():.17g}")
+            s1, s2, s3 = engine.bloch_vector(engine.reduce_spin(state, engine.Subsystem.HEAD))
+            lines.append(f"{n},{s1:.17g},{s2:.17g},{s3:.17g},{s1 * s1 + s2 * s2 + s3 * s3:.17g}")
     assert out.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
 
 
@@ -299,9 +299,10 @@ def test_stability_rejects_m_below_one(capsys, m):
 def test_stability_m_above_the_fibonacci_cap_names_the_flag(capsys):
     # the CLI's bound is the oracle's cap: limits exist up to MAX_CYCLE, not past it
     cap = oracle.MAX_CYCLE
-    assert oracle.stability_limits(cap).m11 == fib(cap - 1)
+    config = schedule.ScheduleConfig.exact_pi(0, 1)
+    assert oracle.stability_limits(cap, config).m11 == fib(cap - 1)
     with pytest.raises(ValueError):
-        oracle.stability_limits(cap + 1)
+        oracle.stability_limits(cap + 1, config)
     err = assert_argv_error(capsys, "stability", "--alpha1", "0/1", "--m", str(cap + 1))
     assert err == f"error: --m must be <= {cap}\n"
 
@@ -392,31 +393,6 @@ def test_oracle_check_rejects_a_prediction_stream_of_another_length(
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("argv", [
-    ["pattern", "--alpha1", "2/5", "--steps", "2001", "--tape", "plus"],
-    ["pattern", "--alpha1", "0.3", "--steps", "2000", "--record-every", "7"],
-    ["oracle-check", "--alpha1", "2/5", "--delta", "0.001", "--steps", "2001"],
-    ["oracle-check", "--alpha1", "0.3", "--steps", "2000"],
-], ids=lambda argv: "-".join(argv[:5:2]))
-def test_per_step_paths_build_no_bloch_vector(tmp_path, monkeypatch, argv):
-    # the loops of pattern and oracle-check read plain tuples; a NamedTuple
-    # built per row or per step costs about half of each Bloch read
-    built = [0]
-    named = engine.BlochVector
-
-    def counted(*args):
-        built[0] += 1
-        return named(*args)
-
-    monkeypatch.setattr(engine, "BlochVector", counted)
-    engine.spin_bloch(engine.init_state(0.3), "head")
-    assert built == [1]  # the counter sees spin_bloch's construction
-    built[0] = 0
-    out = ["--out", str(tmp_path / "out.csv")] if argv[0] == "pattern" else []
-    assert run_cli(*argv, *out) == 0
-    assert built == [0]
-
-
 @pytest.mark.parametrize("alpha1", ["2/5", "1.2566370616"])
 @pytest.mark.parametrize("delta", ["0", "0.001", "-0.001"])
 @pytest.mark.parametrize("steps", [301, 300])
@@ -434,7 +410,8 @@ def test_oracle_check_bytes_match_density_matrix_route(tmp_path, alpha1, delta, 
         tape = engine.bloch_vector(engine.reduce_spin(state, engine.Subsystem.TAPE))
         pred = oracle.head_bloch_superposed(seq, weights, n)
         devs = [abs(h - p) for h, p in zip(head, pred)]
-        devs += [abs(tape.s1), abs(tape.s2), abs(tape.s3 - oracle.tape_sigma3(seq, n))]
+        t1, t2, t3 = tape
+        devs += [abs(t1), abs(t2), abs(t3 - oracle.tape_sigma3(seq, n))]
         assert all(math.isfinite(d) for d in devs)
         if max(devs) > 1e-9 and first_fail is None:
             first_fail = n
@@ -506,6 +483,21 @@ def test_lyapunov_traces_only_the_fit_window(tmp_path, monkeypatch, capsys, argv
     assert out.read_text() == short
     manifest = json.loads((tmp_path / "rate.json.manifest.json").read_text())
     assert manifest["config"]["steps"] == 1000000
+
+
+def test_lyapunov_fit_time_follows_the_trace_not_fit_hi(capsys):
+    # the trace of the default 200 steps holds 201 rows; a fit that visited
+    # every cycle up to --fit-hi 10^12 would run for days, so the command
+    # runs in a fresh interpreter that is stopped after 10 s
+    argv = ["lyapunov", "--alpha1", "2/5", "--mode", "fixed"]
+    assert run_cli(*argv, "--fit-hi", "100") == 0
+    short = json.loads(capsys.readouterr().out)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "qturing.cli", *argv, "--fit-hi", "1000000000000"],
+                          env=env, capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["rate_per_cycle"] == short["rate_per_cycle"]
 
 
 # --- global flag handling ------------------------------------------------------------------
@@ -846,7 +838,7 @@ def test_streamed_pattern_matches_joined_text(tmp_path):
     seq = analysis.AngleSequence(parse_alpha1("0.3", ScheduleMode.FIBONACCI, 0.0))
     recs = analysis.trajectory_bloch(seq, engine.init_state(0.0), 9000)
     lines = ["n,s1,s2,s3,purity"] + [
-        f"{n},{s1:.17g},{s2:.17g},{s3:.17g},{engine.BlochVector(s1, s2, s3).length_sq():.17g}"
+        f"{n},{s1:.17g},{s2:.17g},{s3:.17g},{s1 * s1 + s2 * s2 + s3 * s3:.17g}"
         for n, s1, s2, s3 in recs
     ]
     data = ("\n".join(lines) + "\n").encode("utf-8")

@@ -9,7 +9,6 @@ import reference
 from reference import PAULI, SIGMA1, SIGMA2, SIGMA3, lift, norm_sq, pauli_bloch, run
 
 from qturing.engine import (
-    BlochVector,
     Subsystem,
     TapeState,
     apply_head_rotation,
@@ -22,7 +21,6 @@ from qturing.engine import (
     overlap_sq,
     pair_metrics,
     reduce_spin,
-    spin_bloch,
     tape_bloch,
 )
 from qturing.schedule import AngleSequence, ScheduleConfig, ScheduleMode
@@ -149,7 +147,7 @@ def test_qcnot_acts_as_sigma3_on_minus_tape(phi):
     before = bloch_vector(reduce_spin(state, Subsystem.HEAD))
     after = bloch_vector(reduce_spin(apply_qcnot(state), Subsystem.HEAD))
     np.testing.assert_allclose(
-        after, (-before.s1, -before.s2, before.s3), atol=1e-12
+        after, (-before[0], -before[1], before[2]), atol=1e-12
     )
 
 
@@ -179,7 +177,7 @@ def test_run_zero_angle_fixed_mode_alternates_tape():
     expected = {1: -1.0, 2: 1.0, 3: 1.0, 4: -1.0, 5: -1.0, 6: 1.0}
     for n, state in iterate(seq, init_state(0.0), 6):
         tape = bloch_vector(reduce_spin(state, Subsystem.TAPE))
-        assert tape.s3 == pytest.approx(expected[n], abs=1e-15)
+        assert tape[2] == pytest.approx(expected[n], abs=1e-15)
         head = bloch_vector(reduce_spin(state, Subsystem.HEAD))
         np.testing.assert_allclose(head, (0.0, 0.0, -1.0), atol=1e-15)
 
@@ -233,11 +231,11 @@ def test_reduce_traces_are_one(state):
 
 
 def test_bloch_of_ground_state():
-    assert bloch_vector(np.diag([1.0, 0.0]).astype(complex)) == BlochVector(0, 0, -1)
+    assert bloch_vector(np.diag([1.0, 0.0]).astype(complex)) == (0, 0, -1)
 
 
 def test_bloch_of_maximally_mixed():
-    assert bloch_vector(I2 / 2) == BlochVector(0, 0, 0)
+    assert bloch_vector(I2 / 2) == (0, 0, 0)
 
 
 def test_bloch_of_plus_projector():
@@ -255,8 +253,8 @@ def test_bloch_rejects_corrupted_density_matrix():
 @given(state=state_strategy)
 def test_bloch_length_bounded(state):
     for spin in ("head", "tape"):
-        b = bloch_vector(reduce_spin(state, spin))
-        assert b.length_sq() <= 1.0 + 1e-12
+        s1, s2, s3 = bloch_vector(reduce_spin(state, spin))
+        assert s1 * s1 + s2 * s2 + s3 * s3 <= 1.0 + 1e-12
 
 
 # --- metrics ----------------------------------------------------------------------
@@ -330,9 +328,9 @@ def test_unitarity_over_long_run():
 def test_primitive_states_stay_pure_on_the_circle(phi0, tape):
     seq = fib_seq(0.3)
     for n, state in iterate(seq, init_state(phi0, tape), 500):
-        b = bloch_vector(reduce_spin(state, Subsystem.HEAD))
-        assert abs(b.length_sq() - 1.0) < 1e-10
-        assert abs(b.s1) < 1e-10
+        s1, s2, s3 = bloch_vector(reduce_spin(state, Subsystem.HEAD))
+        assert abs(s1 * s1 + s2 * s2 + s3 * s3 - 1.0) < 1e-10
+        assert abs(s1) < 1e-10
 
 
 def test_in_plane_confinement_from_ground_product_state():
@@ -340,8 +338,8 @@ def test_in_plane_confinement_from_ground_product_state():
     for n, state in iterate(seq, init_state(0.0), 500):
         head = bloch_vector(reduce_spin(state, Subsystem.HEAD))
         tape = bloch_vector(reduce_spin(state, Subsystem.TAPE))
-        assert abs(head.s1) < 1e-10
-        assert abs(tape.s1) < 1e-10 and abs(tape.s2) < 1e-10
+        assert abs(head[0]) < 1e-10
+        assert abs(tape[0]) < 1e-10 and abs(tape[1]) < 1e-10
 
 
 # --- brute-force matrix oracle --------------------------------------------------------
@@ -468,42 +466,42 @@ raw_state_strategy = st.tuples(*[part_strategy] * 4)
 @settings(max_examples=300, deadline=None)
 @given(state=st.one_of(state_strategy, raw_state_strategy))
 def test_spin_bloch_matches_density_matrix_route(state):
-    # the same floats, signed zeros included: compared by repr, not by value;
-    # the Pauli-matrix products give the same values; head_bloch and
-    # tape_bloch give them as plain tuples
+    # head_bloch and tape_bloch give the same floats as plain tuples, signed
+    # zeros included: compared by repr, not by value; the Pauli-matrix
+    # products give the same values
     for spin, plain in ((Subsystem.HEAD, head_bloch), (Subsystem.TAPE, tape_bloch),
                         ("head", head_bloch), ("tape", tape_bloch)):
         rho = reduce_spin(state, spin)
-        assert repr(spin_bloch(state, spin)) == repr(bloch_vector(rho))
-        assert spin_bloch(state, spin) == pauli_bloch(rho)
         assert type(plain(state)) is tuple
-        assert repr(plain(state)) == repr(tuple(bloch_vector(rho)))
+        assert type(bloch_vector(rho)) is tuple
+        assert repr(plain(state)) == repr(bloch_vector(rho))
+        assert plain(state) == pauli_bloch(rho)
 
 
 def test_negated_sigma2_separates_the_bloch_routes(monkeypatch):
-    # oracle-check reads spin_bloch, which never reads PAULI: a sign error in
+    # oracle-check reads head_bloch, which never reads PAULI: a sign error in
     # sigma2 must still make it disagree with the Pauli products wherever s2 != 0
     state = init_state(0.3)
     s1, s2, s3 = PAULI
     monkeypatch.setattr(reference, "PAULI", (s1, tuple(tuple(-x for x in row) for row in s2), s3))
+    a1, a2, a3 = head_bloch(state)
+    assert a2 == pytest.approx(math.sin(0.3), abs=1e-15)
     for spin in (Subsystem.HEAD, "head"):
-        amp = spin_bloch(state, spin)
-        assert amp.s2 == pytest.approx(math.sin(0.3), abs=1e-15)
-        assert pauli_bloch(reduce_spin(state, spin)) == (amp.s1, -amp.s2, amp.s3)
+        assert pauli_bloch(reduce_spin(state, spin)) == (a1, -a2, a3)
 
 
 def test_spin_bloch_of_zero_amplitudes_has_no_negative_zero():
     state = (-0.0, 0.0, -0.0, -0.0)
+    assert repr(head_bloch(state)) == repr(tape_bloch(state)) == "(0.0, 0.0, 0.0)"
     for spin in (Subsystem.HEAD, Subsystem.TAPE, "head", "tape"):
-        assert repr(spin_bloch(state, spin)) == "BlochVector(s1=0.0, s2=0.0, s3=0.0)"
+        assert repr(bloch_vector(reduce_spin(state, spin))) == "(0.0, 0.0, 0.0)"
 
 
 def test_spin_bloch_rejects_unknown_spin():
     # the network is a subsystem but not a spin: one error line, naming both spins
     for spin in (Subsystem.NETWORK, "network", "arm", None):
-        for route in (spin_bloch, reduce_spin):
-            with pytest.raises(ValueError, match="^spin must be 'head' or 'tape', got .+$"):
-                route(init_state(0.0), spin)
+        with pytest.raises(ValueError, match="^spin must be 'head' or 'tape', got .+$"):
+            reduce_spin(init_state(0.0), spin)
 
 
 def test_gates_return_real_4_tuples():
@@ -577,9 +575,9 @@ def test_real_engine_is_the_complex_reference_bit_for_bit(alpha1, mode, delta, t
     for (n, a), (_, b), (_, ca), (_, cb) in zip(run_a, run_b, ref_a, ref_b, strict=True):
         assert _bits(lift(a)) == _bits(ca), n
         assert _bits(lift(b)) == _bits(cb), n
-        for spin in ("head", "tape"):
+        for spin, plain in (("head", head_bloch), ("tape", tape_bloch)):
             for state, complex_state in ((a, ca), (b, cb)):
-                got = tuple(spin_bloch(state, spin))
+                got = plain(state)
                 assert repr(got) == repr(reference.spin_bloch(complex_state, spin)), n
         for subsystem in ("head", "tape", "network"):
             got = pair_metrics(a, b, subsystem)
