@@ -6,6 +6,13 @@ acts on both the initial head preparation and the schedule seed
 (a_0 = delta): the same physical dial, so the perturbed run evolves under a
 genuinely different gate sequence.  A trace measures the part of the network
 that ``engine.Subsystem`` names: the head, the tape or the whole network.
+``distance_rows`` builds the twins' two schedules and two initial states and
+returns the rows of ``engine.pair_rows``, which steps both twins in one
+kernel with the subsystem chosen once; this module does no arithmetic on a
+state.  Where the flip leaves a term bit-identical, exactly so because IEEE
+addition and multiplication commute, the kernel reuses it, and
+``engine.pair_metrics`` stays the single-state definition that its rows
+equal, bit for bit.
 
 Everything is deterministic; identical configurations produce bit-identical
 traces.  Each experiment is an independent pure computation.
@@ -104,27 +111,20 @@ def distance_rows(cfg: ExperimentConfig) -> Iterator[tuple[int, float, float]]:
 
     Trajectory A starts from |-1, -1> under the unperturbed schedule;
     trajectory B starts with the head rotated by delta = ``schedule.delta``
-    under the schedule re-seeded with a_0 = delta.  Both step together,
-    one cycle (rotation, then conditional NOT) per loop turn.
+    under the schedule re-seeded with a_0 = delta.  Both step together in
+    one engine kernel, ``engine.pair_rows``, one cycle per loop turn, with
+    the subsystem chosen once.  Its rows equal ``engine.pair_metrics`` bit
+    for bit: it computes the same expressions in the same order, and reuses
+    a term only where the flip leaves it bit-identical, which is exact
+    because IEEE addition and multiplication commute.  ``pair_metrics``
+    itself gives row 0 and an odd ``steps``' tail row.
     """
-    angle_a = AngleSequence(replace(cfg.schedule, delta=0.0)).angle
-    angle_b = AngleSequence(cfg.schedule).angle
-    a, b = engine.init_state(0.0), engine.init_state(cfg.schedule.delta)
-
-    rotate, flip = engine.apply_head_rotation, engine.apply_qcnot
-    subsystem, metrics = cfg.subsystem, engine.pair_metrics
-    steps, every = cfg.steps, cfg.record_every
-    yield (0, *metrics(a, b, subsystem))
-    for m in range(1, steps // 2 + 1):
-        a, b = rotate(a, angle_a(m)), rotate(b, angle_b(m))
-        if (2 * m - 1) % every == 0:
-            yield (2 * m - 1, *metrics(a, b, subsystem))
-        a, b = flip(a), flip(b)
-        if (2 * m) % every == 0 or 2 * m == steps:
-            yield (2 * m, *metrics(a, b, subsystem))
-    if steps % 2:
-        m = steps // 2 + 1
-        yield (steps, *metrics(rotate(a, angle_a(m)), rotate(b, angle_b(m)), subsystem))
+    schedule = cfg.schedule
+    return engine.pair_rows(
+        AngleSequence(replace(schedule, delta=0.0)), AngleSequence(schedule),
+        engine.init_state(0.0), engine.init_state(schedule.delta),
+        cfg.steps, cfg.record_every, cfg.subsystem,
+    )
 
 
 def distance_trace(cfg: ExperimentConfig) -> DistanceTrace:

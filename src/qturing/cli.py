@@ -42,8 +42,12 @@ _NEGATIVE_RE = re.compile(r"^-(\.?\d|inf|nan)", re.IGNORECASE)
 #: at 4300 by default, with a message that names neither the flag nor a bound
 _MAX_ALPHA1_DIGITS = 4300
 
-#: CSV rows joined per write while an output streams to disk
-_CHUNK_ROWS = 4096
+#: CSV rows formatted per write while an output streams to disk
+_CHUNK_ROWS = 1024
+
+#: (header, row format) of each streamed CSV output
+_PATTERN_CSV = ("n,s1,s2,s3,purity", "%d,%.17g,%.17g,%.17g,%.17g")
+_DISTANCE_CSV = ("n,d2,overlap", "%d,%.17g,%.17g")
 
 #: smallest --steps of the paired-trace commands, 1 elsewhere; their trace
 #: (ExperimentConfig) needs two steps and a delta >= 0
@@ -94,11 +98,21 @@ def _json(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def _chunks(lines: Iterable[str]) -> Iterator[str]:
-    """Newline-terminated text of ``lines``, joined _CHUNK_ROWS lines at a time."""
-    it = iter(lines)
+def _csv_chunks(header: str, fmt: str, rows: Iterable[tuple]) -> Iterator[bytes]:
+    """UTF-8 CSV text: ``header``, then ``fmt % row`` for each row, every
+    line newline-terminated, formatted _CHUNK_ROWS rows at a time by one
+    bytes ``%`` on a flat tuple.
+
+    Bytes, not str: with glibc 2.36, a str ``%`` of this size fragmented
+    the C heap, so that 300 in-process ``pattern`` runs of 2000 steps left
+    7 MB of it free but unused and the peak RSS grew run after run; the
+    bytes ``%`` did not, and it needs no encoding after.
+    """
+    yield (header + "\n").encode()
+    line = (fmt + "\n").encode()
+    it = iter(rows)
     while batch := list(islice(it, _CHUNK_ROWS)):
-        yield "\n".join(batch) + "\n"
+        yield line * len(batch) % tuple(chain.from_iterable(batch))
 
 
 def _naming(path: Path, op, *args):
@@ -110,10 +124,10 @@ def _naming(path: Path, op, *args):
         raise OSError(exc.errno, exc.strerror, str(path)) from None
 
 
-def _write_output(path: Path, chunks: Iterable[str], command: str, config: dict) -> None:
-    """Write the text ``chunks`` to ``path`` and its manifest: both or neither.
+def _write_output(path: Path, chunks: Iterable[bytes], command: str, config: dict) -> None:
+    """Write the byte ``chunks`` to ``path`` and its manifest: both or neither.
 
-    The text streams into a temporary file beside ``path`` while its SHA-256
+    The bytes stream into a temporary file beside ``path`` while their SHA-256
     is updated; the manifest goes to a second temporary file, and only then
     are both moved into place with os.replace.  On any exception, raised by
     the writing or by whatever produces ``chunks``, the temporary files are
@@ -129,9 +143,8 @@ def _write_output(path: Path, chunks: Iterable[str], command: str, config: dict)
         digest = hashlib.sha256()
         with _naming(path, open, tmp_data, "xb") as fh:
             for chunk in chunks:
-                data = chunk.encode("utf-8")
-                digest.update(data)
-                fh.write(data)
+                digest.update(chunk)
+                fh.write(chunk)
         manifest = {
             "command": command,
             "config": config,
@@ -154,7 +167,7 @@ def _write_output(path: Path, chunks: Iterable[str], command: str, config: dict)
 def _emit_report(report: dict, out: str | None, command: str, config: dict) -> None:
     text = _json(report)
     if out:
-        _write_output(Path(out), [text], command, config)
+        _write_output(Path(out), [text.encode("utf-8")], command, config)
     else:
         sys.stdout.write(text)
 
@@ -164,10 +177,7 @@ def cmd_pattern(args: argparse.Namespace) -> int:
     seq = AngleSequence(schedule)
     initial = engine.init_state(args.head_angle, TapeState(args.tape))
     records = analysis.trajectory_bloch(seq, initial, args.steps, args.record_every)
-    rows = (
-        "%d,%.17g,%.17g,%.17g,%.17g" % (n, s1, s2, s3, s1 * s1 + s2 * s2 + s3 * s3)
-        for n, s1, s2, s3 in records
-    )
+    rows = ((n, s1, s2, s3, s1 * s1 + s2 * s2 + s3 * s3) for n, s1, s2, s3 in records)
     config = {
         "schedule": _config_json(schedule),
         "steps": args.steps,
@@ -175,7 +185,7 @@ def cmd_pattern(args: argparse.Namespace) -> int:
         "tape": args.tape,
         "record_every": args.record_every,
     }
-    _write_output(Path(args.out), _chunks(chain(["n,s1,s2,s3,purity"], rows)), "pattern", config)
+    _write_output(Path(args.out), _csv_chunks(*_PATTERN_CSV, rows), "pattern", config)
     return 0
 
 
@@ -187,7 +197,6 @@ def cmd_distance(args: argparse.Namespace) -> int:
         subsystem=Subsystem(args.subsystem),
         record_every=args.record_every,
     )
-    rows = ("%d,%.17g,%.17g" % row for row in analysis.distance_rows(cfg))
     config = {
         "schedule": _config_json(schedule),
         "delta": args.delta,
@@ -195,7 +204,8 @@ def cmd_distance(args: argparse.Namespace) -> int:
         "subsystem": args.subsystem,
         "record_every": args.record_every,
     }
-    _write_output(Path(args.out), _chunks(chain(["n,d2,overlap"], rows)), "distance", config)
+    _write_output(Path(args.out), _csv_chunks(*_DISTANCE_CSV, analysis.distance_rows(cfg)),
+                  "distance", config)
     return 0
 
 

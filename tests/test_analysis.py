@@ -196,16 +196,24 @@ def test_distance_rows_stream_the_trace():
     assert list(rows) == list(zip(trace.steps, trace.d2, trace.overlap))
 
 
-@pytest.mark.parametrize("steps,every", [(2, 1), (3, 1), (61, 1), (60, 7), (61, 7), (301, 10)])
+@pytest.mark.parametrize("steps,every", [
+    (2, 1), (3, 1), (4, 1), (4, 2), (4, 3), (61, 1), (60, 7), (61, 7), (301, 10),
+    (1001, 2), (1001, 3),
+])
 @pytest.mark.parametrize("schedule", [
     ScheduleConfig.exact_pi(3, 7, delta=1e-3),
+    ScheduleConfig.exact_pi(3, 7),
     ScheduleConfig(ScheduleMode.FIBONACCI, 1.2566370616, delta=1e-3),
     ScheduleConfig(ScheduleMode.ARITHMETIC, 1.2566370616, delta=1e-3),
     ScheduleConfig.exact_pi(-2, 5, mode=ScheduleMode.FIXED, delta=0.3),
-], ids=["exact", "float", "arithmetic", "fixed"])
+], ids=["exact", "exact-delta0", "float", "arithmetic", "fixed"])
 def test_distance_rows_match_the_complex_reference_twins(schedule, steps, every):
-    # both twins stepped in one loop give, row for row and bit for bit, the
-    # pair metrics of two complex reference runs stepped one after the other
+    # both twins stepped in one kernel give, row for row and bit for bit, the
+    # pair metrics of two complex reference runs stepped one after the other.
+    # A record filter of 2 keeps even steps only and one of 3 alternates
+    # odd-only and even-only cycles, and 4 steps at 3 keep both halves of
+    # cycle 2: each subsystem's rows, with and without the terms reused
+    # across the flip, and the odd tail of 1001 steps
     for subsystem in ("head", "tape", "network"):
         start = (reference.init_state(0.0), reference.init_state(schedule.delta))
         runs = [reference.iterate(AngleSequence(cfg), state, steps)
@@ -360,16 +368,21 @@ def test_trajectory_bloch_record_shape():
 
 @pytest.mark.parametrize("record_every", [0, -2])
 def test_trajectory_bloch_rejects_record_every_below_one(record_every):
-    # 0 would divide by zero, and -2 would record every second step
-    seq = AngleSequence(TWO_FIFTHS_PI)
+    # 0 would divide by zero, and -2 would record every second step; the
+    # paired kernel behind distance_rows filters its rows the same way
+    seq, state = AngleSequence(TWO_FIFTHS_PI), engine.init_state(0.0)
     with pytest.raises(ValueError, match=f"^record_every must be >= 1, got {record_every}$"):
-        list(trajectory_bloch(seq, engine.init_state(0.0), 20, record_every))
+        list(trajectory_bloch(seq, state, 20, record_every))
+    with pytest.raises(ValueError, match=f"^record_every must be >= 1, got {record_every}$"):
+        list(engine.pair_rows(seq, seq, state, state, 20, record_every, "head"))
 
 
 def test_trajectory_bloch_rejects_negative_steps():
-    seq = AngleSequence(TWO_FIFTHS_PI)
+    seq, state = AngleSequence(TWO_FIFTHS_PI), engine.init_state(0.0)
     with pytest.raises(ValueError, match="^step count must be >= 0, got -1$"):
-        list(trajectory_bloch(seq, engine.init_state(0.0), -1))
+        list(trajectory_bloch(seq, state, -1))
+    with pytest.raises(ValueError, match="^step count must be >= 0, got -1$"):
+        list(engine.pair_rows(seq, seq, state, state, -1, 1, "network"))
 
 
 @settings(max_examples=150, deadline=None)

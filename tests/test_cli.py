@@ -717,15 +717,17 @@ class _Abort(Exception):
     pass
 
 
-#: the engine function each streamed command calls once per CSV row
-_ROW_CALL = {"pattern": "head_bloch", "distance": "pair_metrics"}
+#: (owner, name) of a call each streamed command makes once per CSV row:
+#: ``pattern`` reads the head once per step, and ``distance``'s kernel reads
+#: one angle per twin per cycle, which is two per cycle of two rows
+_ROW_CALL = {"pattern": (engine, "head_bloch"), "distance": (schedule.AngleSequence, "angle")}
 
 
 def _fail_after(monkeypatch, tmp_path, calls, command="pattern"):
-    """Make the per-row engine call of ``command`` raise after ``calls``
-    rows, once the output has started streaming into its temporary file."""
-    name = _ROW_CALL[command]
-    real = getattr(engine, name)
+    """Make the per-row call of ``command`` raise after ``calls`` rows, once
+    the output has started streaming into its temporary file."""
+    owner, name = _ROW_CALL[command]
+    real = getattr(owner, name)
     count = [0]
 
     def flaky(*args):
@@ -736,7 +738,7 @@ def _fail_after(monkeypatch, tmp_path, calls, command="pattern"):
             raise _Abort
         return real(*args)
 
-    monkeypatch.setattr(engine, name, flaky)
+    monkeypatch.setattr(owner, name, flaky)
 
 
 def _assert_failure_mid_write_leaves_nothing(tmp_path, monkeypatch, command):
@@ -845,6 +847,22 @@ def test_streamed_pattern_matches_joined_text(tmp_path):
     assert out.read_bytes() == data
     manifest = json.loads((tmp_path / "pat.csv.manifest.json").read_text())
     assert manifest["sha256"] == hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("csv_format", [cli._PATTERN_CSV, cli._DISTANCE_CSV],
+                         ids=["pattern", "distance"])
+def test_csv_chunks_equal_rows_formatted_one_at_a_time(csv_format):
+    # two full chunks and a one-row remainder: each chunk boundary falls
+    # between two rows, and every row reads as if formatted on its own
+    header, fmt = csv_format
+    width = fmt.count("%")
+    values = [0.0, -0.0, 1.0, 2.0 / 3.0, -1e-300, 5e-324, 1.7976931348623157e308]
+    rows = [(n, *(values[(n + k) % len(values)] * (n + 1) ** 0.5 for k in range(1, width)))
+            for n in range(2 * cli._CHUNK_ROWS + 1)]
+    chunks = list(cli._csv_chunks(header, fmt, rows))
+    assert len(chunks) == 4  # the header, then 2 * _CHUNK_ROWS + 1 rows
+    text = "\n".join([header, *(fmt % row for row in rows)]) + "\n"
+    assert b"".join(chunks) == text.encode("utf-8")
 
 
 def test_streamed_distance_matches_collected_trace(tmp_path):
