@@ -7,12 +7,8 @@ acts on both the initial head preparation and the schedule seed
 genuinely different gate sequence.  A trace measures the part of the network
 that ``engine.Subsystem`` names: the head, the tape or the whole network.
 ``distance_rows`` builds the twins' two schedules and two initial states and
-returns the rows of ``engine.pair_rows``, which steps both twins in one
-kernel with the subsystem chosen once; this module does no arithmetic on a
-state.  Where the flip leaves a term bit-identical, exactly so because IEEE
-addition and multiplication commute, the kernel reuses it, and
-``engine.pair_metrics`` stays the single-state definition that its rows
-equal, bit for bit.
+returns the rows of ``engine.pair_rows``; this module does no arithmetic on
+a state.
 
 Everything is deterministic; identical configurations produce bit-identical
 traces.  Each experiment is an independent pure computation.
@@ -111,13 +107,8 @@ def distance_rows(cfg: ExperimentConfig) -> Iterator[tuple[int, float, float]]:
 
     Trajectory A starts from |-1, -1> under the unperturbed schedule;
     trajectory B starts with the head rotated by delta = ``schedule.delta``
-    under the schedule re-seeded with a_0 = delta.  Both step together in
-    one engine kernel, ``engine.pair_rows``, one cycle per loop turn, with
-    the subsystem chosen once.  Its rows equal ``engine.pair_metrics`` bit
-    for bit: it computes the same expressions in the same order, and reuses
-    a term only where the flip leaves it bit-identical, which is exact
-    because IEEE addition and multiplication commute.  ``pair_metrics``
-    itself gives row 0 and an odd ``steps``' tail row.
+    under the schedule re-seeded with a_0 = delta.  The rows are those of
+    ``engine.pair_rows``, which steps both twins together.
     """
     schedule = cfg.schedule
     return engine.pair_rows(

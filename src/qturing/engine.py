@@ -28,13 +28,8 @@ formula once; the per-step loops of ``pattern``
 ``stability`` (``analysis._orbit_run``).
 
 ``distance`` steps both twins in one kernel, ``pair_rows``, so no other
-module handles a state's four floats on that path.  Each twin is four local
-floats, the subsystem is chosen once before the loop, and each row is
-``pair_metrics``'s expressions in its order, reusing the terms the flip
-leaves bit-identical, exactly so because IEEE addition and multiplication
-commute.  ``pair_metrics`` remains the single-state definition: the kernel
-calls it for row 0 and the odd tail, and the tests compare the kernel
-against it.
+module handles a state's four floats on that path; its docstring says how
+it matches ``pair_metrics``, which remains the single-state definition.
 
 ``reduce_spin``, ``bloch_vector``, ``distance_sq`` and ``overlap_sq`` remain
 only as the density-matrix route: the tests hold the amplitude route to
@@ -240,12 +235,13 @@ def pair_rows(
     local floats.  The rotation is written inline, and the conditional NOT
     costs nothing: the names keep the state before the flip, so the flipped
     state is (a1, a0, a2, a3), and the next rotation reads it so.  The
-    subsystem is chosen once, before the loop, and each row computes the
-    expressions of ``pair_metrics`` in its order.  IEEE addition and
-    multiplication commute, so the flip leaves bit-identical whatever it
-    only reorders: z on every subsystem, the head's d00 and d11, and the
-    tape's d01.  The network row at step 2m therefore repeats the row at
-    2m - 1, the head recomputes only d01, and the tape only d00 and d11.
+    subsystem is chosen once, before the loop, as two local flags that only
+    a recorded cycle reads, and each row computes the expressions of
+    ``pair_metrics`` in its order.  IEEE addition and multiplication
+    commute, so the flip leaves bit-identical whatever it only reorders: z
+    on every subsystem, the head's d00 and d11, and the tape's d01.  The
+    network row at step 2m therefore repeats the row at 2m - 1, the head
+    recomputes only d01, and the tape only d00 and d11.
     Row 0 and an odd ``steps``' tail rotation call ``pair_metrics`` itself.
     """
     if steps < 0:
@@ -257,69 +253,47 @@ def pair_rows(
     every, cycles = record_every, range(1, steps // 2 + 1)
     a1, a0, a2, a3 = a  # as if a were the flipped state: the flip is its own inverse
     b1, b0, b2, b3 = b
-    if subsystem == "network":
-        for m in cycles:
-            h = angle_a(m) / 2.0
-            c, s = cos(h), sin(h)
-            a0, a1, a2, a3 = c * a1 + s * a2, c * a0 + s * a3, c * a2 - s * a1, c * a3 - s * a0
-            h = angle_b(m) / 2.0
-            c, s = cos(h), sin(h)
-            b0, b1, b2, b3 = c * b1 + s * b2, c * b0 + s * b3, c * b2 - s * b1, c * b3 - s * b0
-            odd = (2 * m - 1) % every == 0
-            even = (2 * m) % every == 0 or 2 * m == steps
-            if odd or even:
-                z = a0 * b0 + a1 * b1 + a2 * b2 + a3 * b3
-                ov = z * z
-                d2 = 2.0 * (1.0 - ov)
-                if odd:
-                    yield (2 * m - 1, d2, ov)
-                if even:
-                    yield (2 * m, d2, ov)
-    elif subsystem == "head":
-        for m in cycles:
-            h = angle_a(m) / 2.0
-            c, s = cos(h), sin(h)
-            a0, a1, a2, a3 = c * a1 + s * a2, c * a0 + s * a3, c * a2 - s * a1, c * a3 - s * a0
-            h = angle_b(m) / 2.0
-            c, s = cos(h), sin(h)
-            b0, b1, b2, b3 = c * b1 + s * b2, c * b0 + s * b3, c * b2 - s * b1, c * b3 - s * b0
-            odd = (2 * m - 1) % every == 0
-            even = (2 * m) % every == 0 or 2 * m == steps
-            if odd or even:
-                z = a0 * b0 + a1 * b1 + a2 * b2 + a3 * b3
-                ov = z * z
-                d00 = (a0 * a0 + a1 * a1) - (b0 * b0 + b1 * b1)
-                d11 = (a2 * a2 + a3 * a3) - (b2 * b2 + b3 * b3)
-                diag = d00 * d00 + d11 * d11
-                if odd:
-                    d01 = (a0 * a2 + a1 * a3) - (b0 * b2 + b1 * b3)
-                    yield (2 * m - 1, diag + 2.0 * (d01 * d01), ov)
-                if even:
-                    d01 = (a1 * a2 + a0 * a3) - (b1 * b2 + b0 * b3)
-                    yield (2 * m, diag + 2.0 * (d01 * d01), ov)
-    else:
-        for m in cycles:
-            h = angle_a(m) / 2.0
-            c, s = cos(h), sin(h)
-            a0, a1, a2, a3 = c * a1 + s * a2, c * a0 + s * a3, c * a2 - s * a1, c * a3 - s * a0
-            h = angle_b(m) / 2.0
-            c, s = cos(h), sin(h)
-            b0, b1, b2, b3 = c * b1 + s * b2, c * b0 + s * b3, c * b2 - s * b1, c * b3 - s * b0
-            odd = (2 * m - 1) % every == 0
-            even = (2 * m) % every == 0 or 2 * m == steps
-            if odd or even:
-                z = a0 * b0 + a1 * b1 + a2 * b2 + a3 * b3
-                ov = z * z
-                d01 = (a0 * a1 + a2 * a3) - (b0 * b1 + b2 * b3)
-                off = 2.0 * (d01 * d01)
-                if odd:
-                    d00 = (a0 * a0 + a2 * a2) - (b0 * b0 + b2 * b2)
-                    d11 = (a1 * a1 + a3 * a3) - (b1 * b1 + b3 * b3)
-                    yield (2 * m - 1, d00 * d00 + d11 * d11 + off, ov)
-                if even:
-                    d00 = (a1 * a1 + a2 * a2) - (b1 * b1 + b2 * b2)
-                    d11 = (a0 * a0 + a3 * a3) - (b0 * b0 + b3 * b3)
-                    yield (2 * m, d00 * d00 + d11 * d11 + off, ov)
+    net, head = subsystem == "network", subsystem == "head"
+    for m in cycles:
+        h = angle_a(m) / 2.0
+        c, s = cos(h), sin(h)
+        a0, a1, a2, a3 = c * a1 + s * a2, c * a0 + s * a3, c * a2 - s * a1, c * a3 - s * a0
+        h = angle_b(m) / 2.0
+        c, s = cos(h), sin(h)
+        b0, b1, b2, b3 = c * b1 + s * b2, c * b0 + s * b3, c * b2 - s * b1, c * b3 - s * b0
+        odd = (2 * m - 1) % every == 0
+        even = (2 * m) % every == 0 or 2 * m == steps
+        if not (odd or even):
+            continue
+        z = a0 * b0 + a1 * b1 + a2 * b2 + a3 * b3
+        ov = z * z
+        if net:
+            d2 = 2.0 * (1.0 - ov)
+            if odd:
+                yield (2 * m - 1, d2, ov)
+            if even:
+                yield (2 * m, d2, ov)
+        elif head:
+            d00 = (a0 * a0 + a1 * a1) - (b0 * b0 + b1 * b1)
+            d11 = (a2 * a2 + a3 * a3) - (b2 * b2 + b3 * b3)
+            diag = d00 * d00 + d11 * d11
+            if odd:
+                d01 = (a0 * a2 + a1 * a3) - (b0 * b2 + b1 * b3)
+                yield (2 * m - 1, diag + 2.0 * (d01 * d01), ov)
+            if even:
+                d01 = (a1 * a2 + a0 * a3) - (b1 * b2 + b0 * b3)
+                yield (2 * m, diag + 2.0 * (d01 * d01), ov)
+        else:
+            d01 = (a0 * a1 + a2 * a3) - (b0 * b1 + b2 * b3)
+            off = 2.0 * (d01 * d01)
+            if odd:
+                d00 = (a0 * a0 + a2 * a2) - (b0 * b0 + b2 * b2)
+                d11 = (a1 * a1 + a3 * a3) - (b1 * b1 + b3 * b3)
+                yield (2 * m - 1, d00 * d00 + d11 * d11 + off, ov)
+            if even:
+                d00 = (a1 * a1 + a2 * a2) - (b1 * b1 + b2 * b2)
+                d11 = (a0 * a0 + a3 * a3) - (b0 * b0 + b3 * b3)
+                yield (2 * m, d00 * d00 + d11 * d11 + off, ov)
     if steps % 2:
         m = steps // 2 + 1
         yield (steps, *pair_metrics(apply_head_rotation((a1, a0, a2, a3), angle_a(m)),

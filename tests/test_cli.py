@@ -252,8 +252,8 @@ def test_stability_catches_only_the_mismatch(monkeypatch):
 
 
 def _count_calls(monkeypatch, module, *names):
-    """Wrap the functions ``names`` of ``module`` to count their calls, all
-    in one counter; return the counter, a one-element list."""
+    """Wrap the functions ``names`` of ``module`` (or of a class) to count
+    their calls, all in one counter; return the counter, a one-element list."""
     count = [0]
     for name in names:
         def counted(*args, _real=getattr(module, name)):
@@ -472,14 +472,15 @@ def test_lyapunov_checks_fit_window_before_the_trace(monkeypatch, capsys, lo, hi
 ], ids=["fibonacci-head", "arithmetic-network"])
 def test_lyapunov_traces_only_the_fit_window(tmp_path, monkeypatch, capsys, argv):
     # the fit reads d2 up to step 2 * fit_hi, so a longer --steps adds no
-    # gate and leaves the report as it is; the manifest keeps --steps
+    # cycle and leaves the report as it is; the manifest keeps --steps
     fit_hi = int(argv[argv.index("--fit-hi") + 1]) if "--fit-hi" in argv else 15
     assert run_cli("lyapunov", *argv, "--steps", str(2 * fit_hi)) == 0
     short = capsys.readouterr().out
-    gates = _count_calls(monkeypatch, engine, "apply_head_rotation", "apply_qcnot")
+    # the distance kernel reads one angle per trajectory per cycle
+    angles = _count_calls(monkeypatch, schedule.AngleSequence, "angle")
     out = tmp_path / "rate.json"
     assert run_cli("lyapunov", *argv, "--steps", "1000000", "--out", str(out)) == 0
-    assert gates[0] <= 2 * (2 * fit_hi)  # two trajectories, unperturbed and perturbed
+    assert 0 < angles[0] <= 2 * fit_hi  # two trajectories, unperturbed and perturbed
     assert out.read_text() == short
     manifest = json.loads((tmp_path / "rate.json.manifest.json").read_text())
     assert manifest["config"]["steps"] == 1000000
