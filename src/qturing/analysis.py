@@ -78,26 +78,27 @@ def trajectory_bloch(
     advances: every ``record_every`` steps and at the last step.
 
     One cycle (rotation, then conditional NOT) per loop turn, as
-    ``engine.iterate`` steps it, with the head read by ``engine.head_bloch``;
-    an odd ``steps`` ends on the tail rotation.  A negative ``steps`` or a
-    ``record_every`` below 1 raises ValueError.
+    ``engine.iterate`` steps it, with a_m drawn from one ``seq.angles()``
+    stream and the head read by ``engine.head_bloch``; an odd ``steps`` ends
+    on the tail rotation, by the stream's next angle.  A negative ``steps``
+    or a ``record_every`` below 1 raises ValueError.
     """
     if steps < 0:
         raise ValueError(f"step count must be >= 0, got {steps}")
     if record_every < 1:
         raise ValueError(f"record_every must be >= 1, got {record_every}")
-    angle = seq.angle
+    angles = seq.angles()
     rotate, flip, head = engine.apply_head_rotation, engine.apply_qcnot, engine.head_bloch
     state = initial
-    for m in range(1, steps // 2 + 1):
-        state = rotate(state, angle(m))
+    for m, a in zip(range(1, steps // 2 + 1), angles):
+        state = rotate(state, a)
         if (2 * m - 1) % record_every == 0:
             yield (2 * m - 1, *head(state))
         state = flip(state)
         if (2 * m) % record_every == 0 or 2 * m == steps:
             yield (2 * m, *head(state))
     if steps % 2:
-        yield (steps, *head(rotate(state, angle(steps // 2 + 1))))
+        yield (steps, *head(rotate(state, next(angles))))
 
 
 def distance_rows(cfg: ExperimentConfig) -> Iterator[tuple[int, float, float]]:

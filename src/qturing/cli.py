@@ -262,9 +262,12 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
     """Compare the engine with the closed forms at every step; exit 1 on a failure.
 
     ``engine.iterate`` and ``oracle.predictions`` run side by side on one
-    schedule, each one cycle per loop turn: the oracle reads C+, the minus
-    cumulative and one angle per cycle and never an engine state.  The
-    engine's Bloch vectors are the plain tuples of ``engine.head_bloch`` and
+    schedule, each one cycle per loop turn and each from its own streams:
+    the engine draws one angle per cycle from ``seq.angles()``, and the
+    oracle draws one (C+, minus cumulative) pair from ``seq.cumulatives()``
+    and one angle from a second ``seq.angles()``, and never reads an engine
+    state.  No step makes a point read of the schedule.  The engine's Bloch
+    vectors are the plain tuples of ``engine.head_bloch`` and
     ``engine.tape_bloch``.  A step fails when one of its six deviations
     exceeds the tolerance or is NaN; two streams of unequal length raise
     ValueError, which ``main`` turns into exit 2 with no report.

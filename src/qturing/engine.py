@@ -106,20 +106,21 @@ def apply_qcnot(state: State) -> State:
 def iterate(seq: AngleSequence, state: State, n_steps: int) -> Iterator[tuple[int, State]]:
     """Yield (n, state) after each gate: odd gates rotate, even gates QCNOT.
 
-    Gate 2m-1 rotates the head by seq.angle(m); gate 2m applies the
-    conditional NOT.  Each loop turn steps one cycle, and an odd count ends
-    on a rotation.  Deterministic and norm-preserving throughout.
+    Gate 2m-1 rotates the head by a_m, drawn from one ``seq.angles()``
+    stream; gate 2m applies the conditional NOT.  Each loop turn steps one
+    cycle, and an odd count ends on a rotation by the stream's next angle.
+    Deterministic and norm-preserving throughout.
     """
     if n_steps < 0:
         raise ValueError(f"step count must be >= 0, got {n_steps}")
-    angle = seq.angle
-    for m in range(1, n_steps // 2 + 1):
-        state = apply_head_rotation(state, angle(m))
+    angles = seq.angles()
+    for m, a in zip(range(1, n_steps // 2 + 1), angles):
+        state = apply_head_rotation(state, a)
         yield 2 * m - 1, state
         state = apply_qcnot(state)
         yield 2 * m, state
     if n_steps % 2:
-        yield n_steps, apply_head_rotation(state, angle(n_steps // 2 + 1))
+        yield n_steps, apply_head_rotation(state, next(angles))
 
 
 def _lift(state: State) -> tuple[complex, complex, complex, complex]:
@@ -232,7 +233,8 @@ def pair_rows(
     ``record_every`` steps and at the last step.
 
     Both twins step together, one cycle per loop turn, each held as four
-    local floats.  The rotation is written inline, and the conditional NOT
+    local floats and rotated by the next angle of its own ``angles()``
+    stream.  The rotation is written inline, and the conditional NOT
     costs nothing: the names keep the state before the flip, so the flipped
     state is (a1, a0, a2, a3), and the next rotation reads it so.  The
     subsystem is chosen once, before the loop, as two local flags that only
@@ -242,23 +244,24 @@ def pair_rows(
     on every subsystem, the head's d00 and d11, and the tape's d01.  The
     network row at step 2m therefore repeats the row at 2m - 1, the head
     recomputes only d01, and the tape only d00 and d11.
-    Row 0 and an odd ``steps``' tail rotation call ``pair_metrics`` itself.
+    Row 0 and an odd ``steps``' tail rotation, by each stream's next angle,
+    call ``pair_metrics`` itself.
     """
     if steps < 0:
         raise ValueError(f"step count must be >= 0, got {steps}")
     if record_every < 1:
         raise ValueError(f"record_every must be >= 1, got {record_every}")
     yield (0, *pair_metrics(a, b, subsystem))  # rejects an unknown subsystem
-    angle_a, angle_b, cos, sin = seq_a.angle, seq_b.angle, math.cos, math.sin
+    angles_a, angles_b, cos, sin = seq_a.angles(), seq_b.angles(), math.cos, math.sin
     every, cycles = record_every, range(1, steps // 2 + 1)
     a1, a0, a2, a3 = a  # as if a were the flipped state: the flip is its own inverse
     b1, b0, b2, b3 = b
     net, head = subsystem == "network", subsystem == "head"
-    for m in cycles:
-        h = angle_a(m) / 2.0
+    for m, angle_a, angle_b in zip(cycles, angles_a, angles_b):
+        h = angle_a / 2.0
         c, s = cos(h), sin(h)
         a0, a1, a2, a3 = c * a1 + s * a2, c * a0 + s * a3, c * a2 - s * a1, c * a3 - s * a0
-        h = angle_b(m) / 2.0
+        h = angle_b / 2.0
         c, s = cos(h), sin(h)
         b0, b1, b2, b3 = c * b1 + s * b2, c * b0 + s * b3, c * b2 - s * b1, c * b3 - s * b0
         odd = (2 * m - 1) % every == 0
@@ -295,9 +298,8 @@ def pair_rows(
                 d11 = (a0 * a0 + a3 * a3) - (b0 * b0 + b3 * b3)
                 yield (2 * m, d00 * d00 + d11 * d11 + off, ov)
     if steps % 2:
-        m = steps // 2 + 1
-        yield (steps, *pair_metrics(apply_head_rotation((a1, a0, a2, a3), angle_a(m)),
-                                    apply_head_rotation((b1, b0, b2, b3), angle_b(m)), subsystem))
+        yield (steps, *pair_metrics(apply_head_rotation((a1, a0, a2, a3), next(angles_a)),
+                                    apply_head_rotation((b1, b0, b2, b3), next(angles_b)), subsystem))
 
 
 def overlap_sq(psi_a: State, psi_b: State) -> float:

@@ -150,27 +150,27 @@ def predictions(seq: AngleSequence, weights: SuperpositionWeights,
     ``head_bloch_superposed`` and ``tape_sigma3`` at step n, one cycle per
     loop turn.
 
-    Cycle m reads three schedule values: C+(m) and the minus cumulative at
-    step 2m, which give the head at steps 2m - 1 and 2m, and a_{m+1},
-    whose tape value holds at steps 2m and 2m + 1 and so is carried into
-    the next turn.  a_1 is read once before the loop, and an odd ``steps``
-    ends on the first step of one more cycle.
+    Cycle m draws from two schedule streams: (C+(m), C-(2m)) from
+    ``seq.cumulatives()``, which gives the head at steps 2m - 1 and 2m, and
+    a_{m+1} from ``seq.angles()``, whose tape value holds at steps 2m and
+    2m + 1 and so is carried into the next turn.  a_1 is drawn once before
+    the loop, and an odd ``steps`` ends on the first step of one more cycle.
+    No point read is made, so the exact backend walks to no index.
     """
     if steps < 0:
         raise ValueError(f"step count must be >= 0, got {steps}")
     _fibonacci_only(seq)
     wp, wm = weights.wp, weights.wm
-    plus, minus, angle = seq.cumulative_plus, seq.cumulative_minus, seq.angle
+    angles, cumulatives = seq.angles(), seq.cumulatives()
     alpha1 = wrap_angle(seq.config.alpha1)
-    t3 = _tape(angle(1), alpha1, 0)
-    for m in range(1, steps // 2 + 1):
-        o2, o3, e2, e3 = _cycle(wp, wm, plus(m), minus(2 * m))
+    t3 = _tape(next(angles), alpha1, 0)
+    for m, (c_plus, c_even), a in zip(range(1, steps // 2 + 1), cumulatives, angles):
+        o2, o3, e2, e3 = _cycle(wp, wm, c_plus, c_even)
         yield o2, o3, t3
-        t3 = _tape(angle(m + 1), alpha1, m % 2)
+        t3 = _tape(a, alpha1, m % 2)
         yield e2, e3, t3
     if steps % 2:
-        m = steps // 2 + 1
-        o2, o3, _, _ = _cycle(wp, wm, plus(m), minus(2 * m))
+        o2, o3, _, _ = _cycle(wp, wm, *next(cumulatives))
         yield o2, o3, t3
 
 

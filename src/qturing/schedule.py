@@ -12,21 +12,30 @@ angles grow like ((1+sqrt(5))/2)**m and would exhaust double precision near
 m ~ 75, while every consumer is trigonometric, and reduction commutes with
 the additive recurrences.
 
+Every run reads its schedule in order, so each loop draws from a stream:
+``AngleSequence.angles()`` yields a_1, a_2, ... and
+``AngleSequence.cumulatives()`` yields the cumulative rotations of the two
+tape branches, one pair per cycle.  A stream keeps its state in generator
+locals; the point reads ``angle``, ``cumulative_plus`` and
+``cumulative_minus`` return the same values bit for bit at any index.
+
 When alpha1 is declared as an exact rational multiple of pi via
 ``exact=(p, q)``, every Fibonacci-mode angle and cumulative rotation is a
-closed form in integer Fibonacci residues mod 2q, read from one carried
-residue pair, so arbitrarily long periodic runs carry no float drift.  Each
-command reads the pair at the same index or one index up, one addition;
-any other move re-seeds it with one fast-doubling walk.  One float list,
-grown by one recurrence, serves both backends: on the float backend it
-holds the angles a_m, and on the exact one the delta part
-delta * F_{k-1} mod 2*pi at index k, the float schedule at alpha1 = 0.
+closed form in integer Fibonacci residues mod 2q, so arbitrarily long
+periodic runs carry no float drift.  A stream advances its residues by one
+addition per index; a point read is stateless, one fast-doubling walk to
+its index.  One float recurrence, ``_recurrence``, serves both backends:
+on the float backend it yields the angles a_m, and on the exact one the
+delta part delta * F_{k-1} mod 2*pi at index k, the float schedule at
+alpha1 = 0.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain, islice, repeat, tee
+from typing import Iterable, Iterator
 
 TWO_PI = 2.0 * math.pi
 
@@ -137,106 +146,157 @@ class ScheduleConfig:
         return cls(mode=mode, alpha1=(p / q) * math.pi, delta=delta, exact=(p, q))
 
 
-#: float angles the float backend appends per block when a read runs past its cache
+#: entries a point-read cache appends per block when a read runs past it
 _GROW_BLOCK = 256
 
 
-def _residues(pair: list[int], m: int, mod: int) -> tuple[int, int]:
-    """Move the carried pair [k, F_{k-1}, F_k] mod ``mod`` to index m >= 0 and
-    return (F_{m-1}, F_m), with F_{-1} = 1: one addition for m = k + 1, one
-    fib_pair_mod walk for any move but 0 or +1."""
-    k, prev, cur = pair
-    if m == k + 1:
-        prev, cur = cur, (prev + cur) % mod
-    elif m != k:
-        prev, cur = fib_pair_mod(m - 1, mod) if m else (1, 0)
-    pair[:] = m, prev, cur
-    return prev, cur
+def _recurrence(mode: ScheduleMode, a0: float, a1: float) -> Iterator[float]:
+    """a_1, a_2, ... of the schedule seeded (a0, a1), each reduced mod 2*pi."""
+    yield a1
+    if mode is ScheduleMode.FIXED:
+        yield from repeat(a1)  # endless
+    fibonacci = mode is ScheduleMode.FIBONACCI
+    while True:
+        a0, a1 = a1, wrap_angle(a0 + a1 if fibonacci else 2.0 * a1 - a0)
+        yield a1
+
+
+def _grow(cache: list, feed: Iterator, i: int):
+    """Entry i of a point-read cache, extended first from ``feed`` in whole
+    blocks of _GROW_BLOCK when it is shorter."""
+    if i >= len(cache):
+        cache.extend(islice(feed, (i - len(cache)) // _GROW_BLOCK * _GROW_BLOCK + _GROW_BLOCK))
+    return cache[i]
+
+
+def _fib_at(m: int, mod: int) -> tuple[int, int]:
+    """(F_{m-1}, F_m) mod ``mod`` for m >= -1, with F_{-2} = -1 and F_{-1} = 1:
+    one fib_pair_mod walk for m >= 1, none below."""
+    if m > 0:
+        return fib_pair_mod(m - 1, mod)
+    return (1, 0) if m == 0 else (mod - 1, 1)
 
 
 @dataclass
 class AngleSequence:
-    """Iterator state of one schedule on one of two backends, chosen once.
+    """One schedule on one of two backends, chosen once.
 
-    Both keep one float list ``_ang`` grown by ``_grow``, in blocks of
-    _GROW_BLOCK.  On the float backend it holds the angles a_m, seeded
-    (delta, alpha1), beside their running sums as far as a cumulative query
-    reads them.  The exact Fibonacci backend answers every query in closed
-    form from the residues (F_{m-1}, F_m) mod 2q of one carried pair, moved
-    by one addition per index up; its list is the float schedule at
-    alpha1 = 0, whose entry k + 1 is the delta part delta * F_k mod 2*pi,
-    and at delta = 0 it keeps 0.0 and grows nothing.  Instances are
-    single-owner: advance one sequence per thread.
+    ``angles()`` and ``cumulatives()`` are streams: each call starts a new
+    iterator at m = 1 that keeps its state in generator locals and grows
+    nothing on the instance.  The point reads ``angle``,
+    ``cumulative_plus`` and ``cumulative_minus`` give the same values bit
+    for bit, at any index in any order.  On the float backend they read
+    lists filled from private streams in blocks of _GROW_BLOCK.  On the
+    exact Fibonacci backend a point read is stateless: the stream started
+    at its index by one ``fib_pair_mod`` walk to (F_{m-1}, F_m) mod 2q,
+    with the delta part delta * F_{k-1} mod 2*pi at index k read from a
+    list filled from the float schedule at alpha1 = 0; at delta = 0 that
+    part is 0.0 and no list grows.
     """
 
     config: ScheduleConfig
 
     def __post_init__(self) -> None:
         cfg = self.config
-        a0 = wrap_angle(cfg.delta)
+        self._a0 = wrap_angle(cfg.delta)
         # (p, q) on the exact backend, None on the float one
         self._exact = cfg.exact if cfg.mode is ScheduleMode.FIBONACCI else None
         if self._exact is not None:
-            self._pair = [0, 1, 0]  # [k, F_{k-1}, F_k] mod 2q
-            self._ang = [a0, 0.0]   # delta * F_{k-1} mod 2*pi, index k >= 0
-            self._delta_part = self._delta_entry if cfg.delta else lambda k: 0.0
+            self._delta_list = [self._a0]  # delta * F_{k-1} mod 2*pi at index k >= 0
+            self._delta_feed = self._deltas()
             return
-        a1 = wrap_angle(cfg.alpha1)
-        self._ang = [a0, a1]                        # emitted angles, index m >= 0
-        self._cum = [a0, wrap_angle(a0 + a1)]       # a_0 + sum_{j<=m} a_j
-        self._alt = [0.0, wrap_angle(-a1)]          # sum_{j<=m} (-1)^j a_j
+        self._a1 = wrap_angle(cfg.alpha1)
+        self._ang = [self._a0]  # a_m at index m >= 0
+        self._ang_feed = _recurrence(cfg.mode, self._a0, self._a1)
+        self._cum = [(self._a0, self._a0)]  # (C+(m), C-(2m)) at index m >= 0
+        self._cum_feed = self._float_cumulatives()
 
-    # -- recurrence -------------------------------------------------------
+    # -- streams -------------------------------------------------------------
 
-    def _delta_entry(self, k: int) -> float:
-        """Entry k >= 0 of the exact backend's list, delta * F_{k-1} mod 2*pi."""
-        try:
-            return self._ang[k]
-        except IndexError:
-            self._grow(k)
-            return self._ang[k]
+    def angles(self) -> Iterator[float]:
+        """Stream a_1, a_2, ...: bit for bit ``angle(m)`` for m = 1, 2, ..."""
+        if self._exact is None:
+            return _recurrence(self.config.mode, self._a0, self._a1)
+        return self._exact_angles(1, self._deltas())
 
-    def _grow(self, m: int) -> None:
-        """Extend ``_ang`` through index m, in whole blocks."""
-        ang = self._ang
-        k = len(ang)
-        if k > m:
-            return
-        count = (m - k) // _GROW_BLOCK * _GROW_BLOCK + _GROW_BLOCK
-        if self.config.mode is ScheduleMode.FIXED:
-            ang.extend([wrap_angle(self.config.alpha1)] * count)
-            return
-        fibonacci = self.config.mode is ScheduleMode.FIBONACCI
-        prev2, prev1 = ang[k - 2], ang[k - 1]
-        for _ in range(count):
-            prev2, prev1 = prev1, wrap_angle(prev2 + prev1 if fibonacci else 2.0 * prev1 - prev2)
-            ang.append(prev1)
+    def cumulatives(self) -> Iterator[tuple[float, float]]:
+        """Stream (C+(m), C-(2m)) for m = 1, 2, ...: bit for bit
+        ``(cumulative_plus(m), cumulative_minus(2 * m))``."""
+        if self._exact is None:
+            return self._float_cumulatives()
+        # delta * F_{m+1} and delta * F_{m-2} are entries m + 2 and m - 1
+        ahead, behind = tee(self._deltas())
+        return self._exact_cumulatives(1, zip(islice(ahead, 2, None), chain((self._a0,), behind)))
 
-    def _sums(self, m: int) -> None:
-        """Extend the float backend's running sums through index m."""
-        if len(self._cum) > m:
-            return
-        self._grow(m)
-        ang, cum, alt = self._ang, self._cum, self._alt
-        for k in range(len(cum), m + 1):
-            cum.append(wrap_angle(cum[k - 1] + ang[k]))
-            alt.append(wrap_angle(alt[k - 1] - ang[k] if k % 2 else alt[k - 1] + ang[k]))
+    def _deltas(self) -> Iterator[float]:
+        """Entries k = 1, 2, ... of the exact backend's delta list,
+        delta * F_{k-1} mod 2*pi: the float schedule at alpha1 = 0, seeded
+        (delta, 0)."""
+        if not self.config.delta:
+            return repeat(0.0)
+        return _recurrence(ScheduleMode.FIBONACCI, self._a0, 0.0)
 
-    # -- operations -------------------------------------------------------
+    def _float_cumulatives(self) -> Iterator[tuple[float, float]]:
+        a0 = self._a0
+        plus, alt = a0, 0.0  # a_0 + sum_{j<=m} a_j and sum_{j<=m} (-1)^j a_j
+        angles = _recurrence(self.config.mode, a0, self._a1)
+        for a in angles:  # an odd m, then the even m + 1
+            plus, alt = wrap_angle(plus + a), wrap_angle(alt - a)
+            yield plus, wrap_angle(alt - a0)
+            a = next(angles)
+            plus, alt = wrap_angle(plus + a), wrap_angle(alt + a)
+            yield plus, wrap_angle(a0 - alt)
+
+    # The exact backend's closed forms, each written once: a stream starts at
+    # m = 1, and a point read is the stream started at its index by one walk.
+
+    def _exact_angles(self, m: int, deltas: Iterable[float]) -> Iterator[float]:
+        """a_m, a_{m+1}, ...: one angle per delta part delta * F_{k-1} in
+        ``deltas``, for k = m, m + 1, ..."""
+        p, q = self._exact
+        mod = 2 * q
+        f_prev, f = _fib_at(m - 1, mod)
+        for d in deltas:
+            f_prev, f = f, (f_prev + f) % mod
+            yield wrap_angle(math.pi * ((p * f) % mod) / q + d)
+
+    def _exact_cumulatives(self, m: int,
+                           deltas: Iterable[tuple[float, float]]) -> Iterator[tuple[float, float]]:
+        """(C+(k), C-(2k)) for k = m, m + 1, ...: one pair per pair of delta
+        parts (delta * F_{k+1}, delta * F_{k-2}) in ``deltas``."""
+        p, q = self._exact
+        mod = 2 * q
+        f_prev, f = _fib_at(m - 1, mod)
+        sign = -1 if m % 2 else 1  # (-1)^k
+        for d_plus, d_minus in deltas:
+            f_prev, f = f, (f_prev + f) % mod
+            # sum_{j<=k} F_j = F_{k+2} - 1 and F_{k+2} = F_{k-1} + 2 F_k
+            plus = wrap_angle(math.pi * ((p * (f_prev + 2 * f - 1)) % mod) / q + d_plus)
+            # C-(2k) = (p/q)*pi * ((-1)^k - F_{k-1}) - delta * F_{k-2}
+            yield plus, wrap_angle(math.pi * ((p * (sign - f_prev)) % mod) / q - d_minus)
+            sign = -sign
+
+    # -- point reads ---------------------------------------------------------
+
+    def _delta_part(self, k: int) -> float:
+        """Entry k >= 0 of the exact backend's delta list, delta * F_{k-1} mod 2*pi."""
+        return _grow(self._delta_list, self._delta_feed, k) if self.config.delta else 0.0
+
+    def _cumulatives_at(self, m: int) -> tuple[float, float]:
+        """(C+(m), C-(2m)) for m >= 0."""
+        if self._exact is None:
+            return _grow(self._cum, self._cum_feed, m)
+        # delta * F_{m-2}; F_{-2} = -1 is the one index the delta list does not hold
+        behind = self._delta_part(m - 1) if m else wrap_angle(-self.config.delta)
+        return next(self._exact_cumulatives(m, [(self._delta_part(m + 2), behind)]))
 
     def angle(self, m: int) -> float:
         """Rotation angle a_m in [0, 2*pi), m >= 1."""
         if m < 1:
             raise ValueError(f"angle index must be >= 1, got {m}")
         if self._exact is None:
-            try:
-                return self._ang[m]
-            except IndexError:
-                self._grow(m)
-                return self._ang[m]
-        p, q = self._exact
-        f = _residues(self._pair, m, 2 * q)[1]
-        return wrap_angle(math.pi * ((p * f) % (2 * q)) / q + self._delta_part(m))
+            return _grow(self._ang, self._ang_feed, m)
+        return next(self._exact_angles(m, [self._delta_part(m)]))
 
     def cumulative_plus(self, m: int) -> float:
         """Total rotation accrued by the tape-plus branch after 2m steps.
@@ -247,14 +307,7 @@ class AngleSequence:
         """
         if m < 0:
             raise ValueError(f"cycle index must be >= 0, got {m}")
-        if self._exact is None:
-            self._sums(m)
-            return self._cum[m]
-        p, q = self._exact
-        f_prev, f = _residues(self._pair, m, 2 * q)
-        # sum_{j<=m} F_j = F_{m+2} - 1 and F_{m+2} = F_{m-1} + 2 F_m
-        r = (p * (f_prev + 2 * f - 1)) % (2 * q)
-        return wrap_angle(math.pi * r / q + self._delta_part(m + 2))
+        return self._cumulatives_at(m)[0]
 
     def cumulative_minus(self, n: int) -> float:
         """Cumulative angle of the tape-minus branch after n steps.
@@ -267,16 +320,5 @@ class AngleSequence:
         """
         if n < 0:
             raise ValueError(f"step index must be >= 0, got {n}")
-        m = (n + 1) // 2
-        if self._exact is None:
-            self._sums(m)
-            a0, alt = self._ang[0], self._alt[m]
-            even = wrap_angle(a0 - alt if m % 2 == 0 else alt - a0)
-        else:
-            p, q = self._exact
-            f = _residues(self._pair, m, 2 * q)[0]
-            r = (p * ((1 - f) if m % 2 == 0 else -(f + 1))) % (2 * q)
-            # delta * F_{m-2}; F_{-2} = -1 is the one index the list does not hold
-            d = self._delta_part(m - 1) if m else wrap_angle(-self.config.delta)
-            even = wrap_angle(math.pi * r / q - d)
+        even = self._cumulatives_at((n + 1) // 2)[1]
         return even if n % 2 == 0 else wrap_angle(-even)

@@ -264,6 +264,24 @@ def _count_calls(monkeypatch, module, *names):
     return count
 
 
+def _count_draws(monkeypatch, *names):
+    """Wrap the streams ``names`` of schedule.AngleSequence so that every
+    item drawn from them adds one to its name's entry of the returned dict."""
+    draws = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(self, _real=getattr(schedule.AngleSequence, name), _name=name):
+            for item in _real(self):
+                draws[_name] += 1
+                yield item
+
+        monkeypatch.setattr(schedule.AngleSequence, name, counted)
+    return draws
+
+
+#: the point reads of schedule.AngleSequence; no command makes one per step
+_POINT_READS = ("angle", "cumulative_plus", "cumulative_minus")
+
+
 def test_stability_runs_each_trajectory_once(monkeypatch, capsys):
     # one unperturbed and one perturbed run per delta, each to step 2m + 2;
     # the analysis checks the orbit closure once, and the tape factor's
@@ -476,11 +494,11 @@ def test_lyapunov_traces_only_the_fit_window(tmp_path, monkeypatch, capsys, argv
     fit_hi = int(argv[argv.index("--fit-hi") + 1]) if "--fit-hi" in argv else 15
     assert run_cli("lyapunov", *argv, "--steps", str(2 * fit_hi)) == 0
     short = capsys.readouterr().out
-    # the distance kernel reads one angle per trajectory per cycle
-    angles = _count_calls(monkeypatch, schedule.AngleSequence, "angle")
+    # the distance kernel draws one angle per trajectory per cycle
+    draws = _count_draws(monkeypatch, "angles")
     out = tmp_path / "rate.json"
     assert run_cli("lyapunov", *argv, "--steps", "1000000", "--out", str(out)) == 0
-    assert 0 < angles[0] <= 2 * fit_hi  # two trajectories, unperturbed and perturbed
+    assert draws["angles"] == 2 * fit_hi  # two trajectories, unperturbed and perturbed
     assert out.read_text() == short
     manifest = json.loads((tmp_path / "rate.json.manifest.json").read_text())
     assert manifest["config"]["steps"] == 1000000
@@ -718,28 +736,38 @@ class _Abort(Exception):
     pass
 
 
-#: (owner, name) of a call each streamed command makes once per CSV row:
-#: ``pattern`` reads the head once per step, and ``distance``'s kernel reads
-#: one angle per twin per cycle, which is two per cycle of two rows
-_ROW_CALL = {"pattern": (engine, "head_bloch"), "distance": (schedule.AngleSequence, "angle")}
+#: (owner, name, stream) of what each streamed command reads once per CSV
+#: row: ``pattern`` calls ``engine.head_bloch`` once per step, and
+#: ``distance``'s kernel draws one angle per twin per cycle from the
+#: ``angles`` streams, which is two per cycle of two rows
+_ROW_CALL = {"pattern": (engine, "head_bloch", False),
+             "distance": (schedule.AngleSequence, "angles", True)}
 
 
 def _fail_after(monkeypatch, tmp_path, calls, command="pattern"):
-    """Make the per-row call of ``command`` raise after ``calls`` rows, once
+    """Make the per-row read of ``command`` raise after ``calls`` rows, once
     the output has started streaming into its temporary file."""
-    owner, name = _ROW_CALL[command]
+    owner, name, stream = _ROW_CALL[command]
     real = getattr(owner, name)
     count = [0]
 
-    def flaky(*args):
+    def tick():
         count[0] += 1
         if count[0] > calls:
             (tmp,) = tmp_path.glob(f".{command}.csv.*.tmp")
             assert tmp.stat().st_size > 0
             raise _Abort
+
+    def flaky(*args):
+        tick()
         return real(*args)
 
-    monkeypatch.setattr(owner, name, flaky)
+    def flaky_stream(self):
+        for item in real(self):
+            tick()
+            yield item
+
+    monkeypatch.setattr(owner, name, flaky_stream if stream else flaky)
 
 
 def _assert_failure_mid_write_leaves_nothing(tmp_path, monkeypatch, command):
@@ -934,8 +962,9 @@ def test_each_call_gets_its_own_defaults(tmp_path):
     assert config["steps"] == 200 and config["delta"] == 0.001
 
 
-#: command lines whose exact schedules read each residue index once or one up
-#: from the last, which the carried pair serves without a Fibonacci walk
+#: command lines whose exact schedules are read in order: each loop draws
+#: from the ``angles`` and ``cumulatives`` streams, which advance their
+#: residues by one addition per index, so no Fibonacci walk is needed
 _IN_ORDER = [
     ["oracle-check", "--alpha1", "123/257", "--delta", "1e-3", "--steps", "2001"],
     *(["distance", "--alpha1", "2/5", "--delta", "1e-3", "--steps", "999",
@@ -954,42 +983,49 @@ def _count_walks(monkeypatch):
 @pytest.mark.parametrize("argv", _IN_ORDER, ids=lambda argv: " ".join(argv[:1] + argv[-3:]))
 def test_commands_read_the_schedule_without_walks(tmp_path, monkeypatch, argv):
     walks = _count_walks(monkeypatch)
+    point_reads = _count_calls(monkeypatch, schedule.AngleSequence, *_POINT_READS)
     monkeypatch.chdir(tmp_path)
     assert run_cli(*argv) == 0
     assert walks == []
+    assert point_reads[0] == 0
 
 
 @pytest.mark.parametrize("alpha1", ["123/257", "1.2566370616"])
 @pytest.mark.parametrize("steps", [2000, 2001])
 def test_oracle_check_reads_the_schedule_four_times_per_cycle(monkeypatch, capsys, alpha1, steps):
-    # one angle for the engine; C+, the minus cumulative and one angle for
-    # the oracle, plus a_1 once before the oracle's first cycle
-    reads = []
-    for name in ("angle", "cumulative_plus", "cumulative_minus"):
-        real = getattr(schedule.AngleSequence, name)
-        monkeypatch.setattr(schedule.AngleSequence, name,
-                            lambda self, k, real=real, name=name: reads.append(name) or real(self, k))
+    # four values per cycle, all drawn from streams: one angle for the
+    # engine, and a (C+, minus cumulative) pair and one angle for the
+    # oracle, plus a_1 once before the oracle's first cycle
+    draws = _count_draws(monkeypatch, "angles", "cumulatives")
+    point_reads = _count_calls(monkeypatch, schedule.AngleSequence, *_POINT_READS)
     assert run_cli("oracle-check", "--alpha1", alpha1, "--delta", "1e-3", "--steps", str(steps)) == 0
     cycles = (steps + 1) // 2
-    assert len(reads) <= 4 * cycles + 1
-    assert reads.count("cumulative_plus") == reads.count("cumulative_minus") == cycles
+    assert draws["cumulatives"] == cycles
+    assert 0 < draws["angles"] <= 2 * cycles + 1
+    assert point_reads[0] == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["pattern", "--alpha1", "1.2566370616", "--steps", "2001", "--out", "p.csv"],
+    ["distance", "--alpha1", "0.3", "--mode", "arithmetic", "--steps", "999", "--out", "d.csv"],
+    ["lyapunov", "--alpha1", "2/5", "--steps", "61"],
+    ["stability", "--alpha1", "2/5", "--m", "20"],
+], ids=lambda argv: argv[0])
+def test_commands_make_no_point_read_per_step(tmp_path, monkeypatch, argv):
+    # oracle-check and the exact backend are covered above; stability's one
+    # point read is stability_limits' angle a_{m+2}, outside every loop
+    point_reads = _count_calls(monkeypatch, schedule.AngleSequence, *_POINT_READS)
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(*argv) == 0
+    assert point_reads[0] == (1 if argv[0] == "stability" else 0)
 
 
 def test_stability_walks_at_most_once_per_sequence(monkeypatch):
-    # stability_limits reads a fresh sequence far ahead: one walk, and no more
+    # the orbit runs draw their angles from streams, which make no walk; the
+    # one walk is stability_limits' point read of a_{m+2} on a fresh sequence
     walks = _count_walks(monkeypatch)
-    per_pair, pairs, real = {}, [], schedule._residues
-
-    def residues(pair, m, mod):
-        before = len(walks)
-        out = real(pair, m, mod)
-        pairs.append(pair)  # held, so that no later pair reuses its id
-        per_pair[id(pair)] = per_pair.get(id(pair), 0) + len(walks) - before
-        return out
-
-    monkeypatch.setattr(schedule, "_residues", residues)
     assert run_cli("stability", "--alpha1", "2/5", "--m", "20") == 0
-    assert walks and max(per_pair.values()) == 1
+    assert walks == [20]  # (F_m, F_{m+1}) mod 2q, one addition short of F_{m+2}
 
 
 # --- fuzzing ---------------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 import math
+from collections import deque
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import example, given, settings
@@ -166,14 +168,20 @@ def test_float_recurrence_drifts_without_exact_mode():
 
 @pytest.mark.parametrize("p,q", [(2, 5), (1, 3), (3, 7)])
 def test_exact_mode_angle_is_exact(p, q):
+    # the stream over the whole range, and point reads at sampled m, against
+    # an iterative residue oracle: F_m mod 2q repeats with the Pisano period,
+    # so one period of angles is compared a whole period at a time
     seq = AngleSequence(ScheduleConfig.exact_pi(p, q))
-    a, b = 0, 1  # iterative residue oracle
     mod = 2 * q
-    checkpoints = {1, 2, 3, 10, 100, 1000, 10**5, 10**6}
-    for m in range(1, 10**6 + 1):
+    period, (a, b) = [], (1, 1)  # (F_m, F_{m+1}) mod 2q from m = 1
+    while not (period and (a, b) == (1, 1)):
+        period.append(math.pi * ((p * a) % mod) / q)
         a, b = b, (a + b) % mod
-        if m in checkpoints:
-            assert seq.angle(m) == math.pi * ((p * a) % mod) / q
+    angles, top = seq.angles(), 10**6
+    for start in range(0, top, len(period)):
+        assert list(islice(angles, len(period))) == period, start
+    for m in (1, 2, 3, 10, 100, 1000, 10**5, top):
+        assert seq.angle(m) == period[(m - 1) % len(period)], m
 
 
 def test_exact_mode_with_delta_matches_float_recurrence():
@@ -344,8 +352,10 @@ def test_delta_part_exact_oracle():
 def test_exact_backend_is_integer_closed_form_plus_float_delta_part(delta):
     # every exact-backend value is its integer closed form in F_m mod 2q plus
     # delta * F_k mod 2*pi read from the float schedule at alpha1 = 0, whose
-    # entry k + 1 is delta * F_k; delta * F_{-2} = -delta and delta * F_{-1} = delta
+    # entry k + 1 is delta * F_k; delta * F_{-2} = -delta and delta * F_{-1} = delta.
+    # The streams are scanned over the whole range, point reads at sampled m.
     top = 5000
+    sampled = {0, 1, 2, 3, 4, 255, 256, 257, 513, 1000, top - 1, top}
     float_part = make_seq(0.0, delta=delta)
 
     def part(k):
@@ -358,18 +368,25 @@ def test_exact_backend_is_integer_closed_form_plus_float_delta_part(delta):
         f = [1, 0]  # F_{m-1}, F_m mod 2q for m = -1, 0, 1, ...; f[m + 1] = F_m
         while len(f) < top + 4:
             f.append((f[-1] + f[-2]) % mod)
+        angles, cumulatives = seq.angles(), seq.cumulatives()
         for m in range(top + 1):
             if m:
                 want = wrap_angle(math.pi * ((p * f[m + 1]) % mod) / q + part(m - 1))
-                assert seq.angle(m).hex() == want.hex(), ("angle", p, q, m)
+                assert next(angles).hex() == want.hex(), ("angle", p, q, m)
+                if m in sampled:
+                    assert seq.angle(m).hex() == want.hex(), ("angle read", p, q, m)
             r = (p * (f[m + 3] - 1)) % mod  # sum_{j<=m} F_j = F_{m+2} - 1
-            want = wrap_angle(math.pi * r / q + part(m + 1))
-            assert seq.cumulative_plus(m).hex() == want.hex(), ("plus", p, q, m)
+            plus = wrap_angle(math.pi * r / q + part(m + 1))
             r = (p * ((-1) ** m - f[m])) % mod
             even = wrap_angle(math.pi * r / q - part(m - 2))
-            for n in {max(2 * m - 1, 0), 2 * m}:
-                want = even if n % 2 == 0 else wrap_angle(-even)
-                assert seq.cumulative_minus(n).hex() == want.hex(), ("minus", p, q, n)
+            if m:
+                got = next(cumulatives)
+                assert (got[0].hex(), got[1].hex()) == (plus.hex(), even.hex()), ("stream", p, q, m)
+            if m in sampled:
+                assert seq.cumulative_plus(m).hex() == plus.hex(), ("plus", p, q, m)
+                for n in {max(2 * m - 1, 0), 2 * m}:
+                    want = even if n % 2 == 0 else wrap_angle(-even)
+                    assert seq.cumulative_minus(n).hex() == want.hex(), ("minus", p, q, n)
 
 
 # --- config validation --------------------------------------------------------
@@ -418,7 +435,7 @@ def test_wrap_angle_range():
         assert 0.0 <= wrap_angle(x) < TWO_PI
 
 
-# --- exact-mode growth from a carried residue pair --------------------------------
+# --- exact-mode growth of the delta part, and streams without walks ---------------
 
 def reference_exact_angles(p, q, delta, count):
     """a_1..a_count of the exact+delta path, each base angle from its own fib_mod."""
@@ -453,7 +470,7 @@ def test_exact_delta_growth_in_uneven_chunks_is_bit_identical(p, q):
     assert whole.cumulative_minus(2 * m_max) == seq.cumulative_minus(2 * m_max)
 
 
-def _assert_ascending_growth_needs_no_fib_mod(monkeypatch, delta):
+def _assert_streams_need_no_fib_mod(monkeypatch, delta):
     import qturing.schedule as schedule
 
     seq = AngleSequence(ScheduleConfig.exact_pi(7, 13, delta=delta))
@@ -461,26 +478,24 @@ def _assert_ascending_growth_needs_no_fib_mod(monkeypatch, delta):
     monkeypatch.setattr(schedule, "fib_mod", lambda n, mod: calls.append(n) or fib_mod(n, mod))
     monkeypatch.setattr(schedule, "fib_pair_mod",
                         lambda n, mod: calls.append(n) or fib_pair_mod(n, mod))
-    # cmd_oracle_check's order: both cumulatives at step n, then the angle the
-    # tape prediction reads
-    for n in range(4001):
-        seq.cumulative_plus((n + 1) // 2)
-        seq.cumulative_minus(n)
-        seq.angle(n // 2 + 1)
+    # cmd_oracle_check's streams: angles for the engine, and cumulatives and
+    # angles for the oracle
+    for _ in zip(range(4001), seq.angles(), seq.cumulatives(), seq.angles()):
+        pass
     assert calls == []
-    seq.angle(1)  # a backward move re-seeds with one walk, so the hook is live
-    assert calls == [0]
+    seq.angle(5)  # a point read walks once, to (F_3, F_4), so the hook is live
+    assert calls == [3]
 
 
 def test_exact_delta_growth_needs_no_fib_mod(monkeypatch):
-    _assert_ascending_growth_needs_no_fib_mod(monkeypatch, 1e-3)
+    _assert_streams_need_no_fib_mod(monkeypatch, 1e-3)
 
 
 def test_exact_growth_without_delta_needs_no_fib_mod(monkeypatch):
-    _assert_ascending_growth_needs_no_fib_mod(monkeypatch, 0.0)
+    _assert_streams_need_no_fib_mod(monkeypatch, 0.0)
 
 
-# --- exact backend: any query order gives the ascending values -------------------
+# --- exact backend: any query order gives the ascending values, each by one walk --
 
 QUERIES = ("angle", "cumulative_plus", "cumulative_minus")
 LOWEST = {"angle": 1, "cumulative_plus": 0, "cumulative_minus": 0}
@@ -560,3 +575,77 @@ def test_float_queries_in_any_order_match_eager_recurrence(mode, alpha1, delta, 
     seq = AngleSequence(config)
     for kind, i in queries:
         assert getattr(seq, kind)(i).hex() == getattr(reference, kind)(i).hex(), (kind, i)
+
+
+# --- streams: the point reads bit for bit, and no cache growth -----------------
+
+#: exact (p, q) pairs, at the largest allowed denominator too, and float alpha1
+STREAM_ALPHA1 = [(2**1020 - 1, 2**1020), (1, 999983), (-3, 7), (0, 1), (123, 257),
+                 1.2566370616, 0.3, 8.0, -0.7]
+
+
+def stream_config(alpha1, mode, delta):
+    if isinstance(alpha1, tuple):
+        return ScheduleConfig.exact_pi(*alpha1, mode=mode, delta=delta)
+    return ScheduleConfig(mode=mode, alpha1=alpha1, delta=delta)
+
+
+def hexed(values):
+    return [tuple(v.hex() for v in value) if isinstance(value, tuple) else value.hex()
+            for value in values]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    alpha1=st.sampled_from(STREAM_ALPHA1),
+    mode=st.sampled_from(list(ScheduleMode)),
+    delta=st.sampled_from([0.0, 1e-3, -1e-3, 1e-8, 7.0, 1e12]),
+    length=st.sampled_from([1, 2, 3] + BLOCK_EDGES),
+    reads=st.lists(st.tuples(st.sampled_from(QUERIES), st.integers(min_value=0, max_value=600)),
+                   max_size=6),
+)
+@example(alpha1=(2**1020 - 1, 2**1020), mode=ScheduleMode.FIBONACCI, delta=7.0, length=513,
+         reads=[("angle", 600), ("cumulative_minus", 0), ("cumulative_plus", 257)])
+@example(alpha1=1.2566370616, mode=ScheduleMode.FIBONACCI, delta=1e-3, length=257,
+         reads=[("cumulative_plus", 256), ("angle", 513)])
+def test_streams_equal_the_point_reads_bit_for_bit(alpha1, mode, delta, length, reads):
+    # angles() and cumulatives() against the point reads of a second
+    # instance, by .hex(); point reads on the first instance between the
+    # streams' draws change neither the streams nor the reads
+    config = stream_config(alpha1, mode, delta)
+    seq, reference = AngleSequence(config), AngleSequence(config)
+    angles, cumulatives = seq.angles(), seq.cumulatives()
+    drawn = []
+    for kind, i in [*reads, *reads]:  # half before the first draw, half between draws
+        i = max(i, LOWEST[kind])
+        assert getattr(seq, kind)(i).hex() == getattr(reference, kind)(i).hex(), (kind, i)
+        drawn.append((next(angles), next(cumulatives)))
+    drawn += zip(islice(angles, length), islice(cumulatives, length))
+    top = len(drawn)
+    assert hexed(a for a, _ in drawn) == hexed(reference.angle(m) for m in range(1, top + 1))
+    assert hexed(c for _, c in drawn) == hexed(
+        (reference.cumulative_plus(m), reference.cumulative_minus(2 * m)) for m in range(1, top + 1))
+
+
+def cache_sizes(seq):
+    """Lengths of the point-read caches, the lists an instance holds."""
+    return {name: len(value) for name, value in vars(seq).items() if isinstance(value, list)}
+
+
+@pytest.mark.parametrize("config", [
+    ScheduleConfig.exact_pi(123, 257, delta=1e-3),
+    ScheduleConfig.exact_pi(123, 257),
+    ScheduleConfig(ScheduleMode.FIBONACCI, 1.2566370616, delta=1e-3),
+    ScheduleConfig(ScheduleMode.ARITHMETIC, 0.3),
+], ids=["exact-delta", "exact", "float", "arithmetic"])
+def test_streams_grow_no_point_read_cache(config):
+    seq = AngleSequence(config)
+    sizes = cache_sizes(seq)
+    assert sizes
+    deque(islice(seq.angles(), 10**5), maxlen=0)
+    deque(islice(seq.cumulatives(), 10**4), maxlen=0)
+    assert cache_sizes(seq) == sizes
+    seq.angle(1000)
+    seq.cumulative_plus(1000)
+    if config.delta or config.exact is None:  # the check is live: point reads do grow them
+        assert cache_sizes(seq) != sizes
