@@ -6,9 +6,10 @@ acts on both the initial head preparation and the schedule seed
 (a_0 = delta): the same physical dial, so the perturbed run evolves under a
 genuinely different gate sequence.  A trace measures the part of the network
 that ``engine.Subsystem`` names: the head, the tape or the whole network.
-``distance_rows`` builds the twins' two schedules and two initial states and
-returns the rows of ``engine.pair_rows``; this module does no arithmetic on
-a state.
+A paired run takes one form, the ``(n, d2, overlap)`` rows of
+``distance_rows``: ``distance`` writes them as they stream, and the fits
+read them once and keep only the points in their window.  This module does
+no arithmetic on a state.
 
 Everything is deterministic; identical configurations produce bit-identical
 traces.  Each experiment is an independent pure computation.
@@ -16,7 +17,7 @@ traces.  Each experiment is an independent pure computation.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from array import array
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator
 
@@ -44,28 +45,6 @@ class ExperimentConfig:
             raise ValueError(f"delta must be >= 0, got {self.schedule.delta}")
         if self.record_every < 1:
             raise ValueError(f"record_every must be >= 1, got {self.record_every}")
-
-
-@dataclass
-class DistanceTrace:
-    """Recorded (step, squared distance, squared network overlap) triples."""
-
-    steps: tuple[int, ...]
-    d2: tuple[float, ...]
-    overlap: tuple[float, ...]
-
-    def d2_at(self, step: int) -> float:
-        idx = bisect_left(self.steps, step)
-        if idx == len(self.steps) or self.steps[idx] != step:
-            raise KeyError(f"step {step} was not recorded")
-        return self.d2[idx]
-
-    def presaturation_end(self) -> int:
-        """First recorded step whose d2 reaches the saturation guard (or last step)."""
-        for n, d2 in zip(self.steps, self.d2):
-            if d2 >= _SATURATION_GUARD:
-                return n
-        return self.steps[-1]
 
 
 def trajectory_bloch(
@@ -119,40 +98,37 @@ def distance_rows(cfg: ExperimentConfig) -> Iterator[tuple[int, float, float]]:
     )
 
 
-def distance_trace(cfg: ExperimentConfig) -> DistanceTrace:
-    """The rows of ``distance_rows`` collected into one trace."""
-    steps, d2, overlap = zip(*distance_rows(cfg))
-    return DistanceTrace(steps, d2, overlap)
+def distance_trace(cfg: ExperimentConfig) -> list[tuple[int, float, float]]:
+    """The rows of ``distance_rows`` in a list.  No command calls it; it is
+    kept because the benchmark's layer tracer (bench/layers.py) wraps it by
+    name."""
+    return list(distance_rows(cfg))
 
 
-def _slope(xs: list[float], ys: list[float]) -> float:
+def _slope(xs: array, ys: array) -> float:
     """Least-squares slope of ys against xs."""
     mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
     return sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sum((x - mx) ** 2 for x in xs)
 
 
-def check_fit_window(fit_window: tuple[int, int]) -> None:
-    """Reject a fit window that starts below cycle 0 or ends before it starts."""
+def lyapunov_estimate(rows: Iterable[tuple[int, float, float]],
+                      fit_window: tuple[int, int]) -> float:
+    """Divergence rate per two-step cycle from a pre-saturation window.
+
+    Least-squares slope of ln D(2m) against the cycle index m over the
+    (n, d2, overlap) ``rows`` with n = 2m and m in [fit_window[0],
+    fit_window[1]].  The window is checked before the first row is read:
+    it must start at cycle 0 or later and not end before it starts.  It
+    must hold at least five recorded cycles and stay below the saturation
+    guard d2 < 0.5; a Fibonacci schedule targets ln((1 + sqrt(5))/2) ~ 0.4812.
+    """
     m_lo, m_hi = fit_window
     if m_lo < 0:
         raise ValueError(f"fit window starts at cycle {m_lo}, must start at >= 0")
     if m_lo > m_hi:
         raise ValueError(f"fit window is inverted: first cycle {m_lo} > last cycle {m_hi}")
-
-
-def lyapunov_estimate(trace: DistanceTrace, fit_window: tuple[int, int]) -> float:
-    """Divergence rate per two-step cycle from a pre-saturation window.
-
-    Least-squares slope of ln D(2m) against the cycle index m over
-    m in [fit_window[0], fit_window[1]], where 0 <= fit_window[0] <=
-    fit_window[1].  The window must hold at least five recorded cycles and
-    stay below the saturation guard d2 < 0.5; a Fibonacci schedule targets
-    ln((1 + sqrt(5))/2) ~ 0.4812.
-    """
-    check_fit_window(fit_window)
-    m_lo, m_hi = fit_window
-    ms, logs = [], []
-    for n, val in zip(trace.steps, trace.d2):
+    ms, logs = array("d"), array("d")
+    for n, val, _ in rows:
         if n % 2 or not 2 * m_lo <= n <= 2 * m_hi:
             continue
         if math.isnan(val):
@@ -169,19 +145,21 @@ def lyapunov_estimate(trace: DistanceTrace, fit_window: tuple[int, int]) -> floa
     return _slope(ms, logs)
 
 
-def fit_power_law(trace: DistanceTrace, window: tuple[int, int]) -> float:
-    """Exponent k of D ~ n**k over the recorded steps in ``window``."""
+def fit_power_law(rows: Iterable[tuple[int, float, float]], window: tuple[int, int]) -> float:
+    """Exponent k of D ~ n**k over the (n, d2, overlap) ``rows`` with n in
+    ``window``; a row at or above the saturation guard is left out."""
     lo, hi = window
-    pts = []
-    for n, d2 in zip(trace.steps, trace.d2):
+    logn, logd = array("d"), array("d")
+    for n, d2, _ in rows:
         if lo <= n <= hi:
             if math.isnan(d2):
                 raise ValueError(f"d2({n}) is NaN")
             if 0.0 < d2 < _SATURATION_GUARD:
-                pts.append((n, d2))
-    if len(pts) < 5:
-        raise ValueError(f"window holds {len(pts)} usable points, need >= 5")
-    return _slope([math.log(n) for n, _ in pts], [0.5 * math.log(d2) for _, d2 in pts])
+                logn.append(math.log(n))
+                logd.append(0.5 * math.log(d2))
+    if len(logn) < 5:
+        raise ValueError(f"window holds {len(logn)} usable points, need >= 5")
+    return _slope(logn, logd)
 
 
 class ClosedFormMismatch(RuntimeError):

@@ -262,15 +262,10 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
     """Compare the engine with the closed forms at every step; exit 1 on a failure.
 
     ``engine.iterate`` and ``oracle.predictions`` run side by side on one
-    schedule, each one cycle per loop turn and each from its own streams:
-    the engine draws one angle per cycle from ``seq.angles()``, and the
-    oracle draws one (C+, minus cumulative) pair from ``seq.cumulatives()``
-    and one angle from a second ``seq.angles()``, and never reads an engine
-    state.  No step makes a point read of the schedule.  The engine's Bloch
-    vectors are the plain tuples of ``engine.head_bloch`` and
-    ``engine.tape_bloch``.  A step fails when one of its six deviations
-    exceeds the tolerance or is NaN; two streams of unequal length raise
-    ValueError, which ``main`` turns into exit 2 with no report.
+    schedule, each from its own streams, and the oracle never reads an
+    engine state.  A step fails when one of its six deviations exceeds the
+    tolerance or is NaN; two runs of unequal length raise ValueError, which
+    ``main`` turns into exit 2 with no report.
     """
     schedule = parse_alpha1(args.alpha1, ScheduleMode.FIBONACCI, args.delta)
     seq = AngleSequence(schedule)
@@ -321,9 +316,8 @@ def cmd_lyapunov(args: argparse.Namespace) -> int:
         steps=min(args.steps, max(2, 2 * args.fit_hi)),
         subsystem=Subsystem(args.subsystem),
     )
-    window = (args.fit_lo, args.fit_hi)
-    analysis.check_fit_window(window)  # before the trace, which may be long
-    rate = analysis.lyapunov_estimate(analysis.distance_trace(cfg), window)
+    # the fit checks its window before it draws a row, so a bad window runs no cycle
+    rate = analysis.lyapunov_estimate(analysis.distance_rows(cfg), (args.fit_lo, args.fit_hi))
     report = {
         "rate_per_cycle": rate,
         "fit_window_cycles": [args.fit_lo, args.fit_hi],

@@ -23,13 +23,8 @@ operations are pure functions of the state.
 
 A Bloch vector is a plain ``(s1, s2, s3)`` float tuple.  ``head_bloch``
 and ``tape_bloch`` read one from the four floats, each writing one spin's
-formula once; the per-step loops of ``pattern``
-(``analysis.trajectory_bloch``) and ``oracle-check`` read them, and so does
-``stability`` (``analysis._orbit_run``).
-
-``distance`` steps both twins in one kernel, ``pair_rows``, so no other
-module handles a state's four floats on that path; its docstring says how
-it matches ``pair_metrics``, which remains the single-state definition.
+formula once.  ``pair_metrics`` defines a paired run's row from two states,
+and ``pair_rows`` steps both twins of one.
 
 ``reduce_spin``, ``bloch_vector``, ``distance_sq`` and ``overlap_sq`` remain
 only as the density-matrix route: the tests hold the amplitude route to

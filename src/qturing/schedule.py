@@ -181,17 +181,14 @@ def _fib_at(m: int, mod: int) -> tuple[int, int]:
 class AngleSequence:
     """One schedule on one of two backends, chosen once.
 
-    ``angles()`` and ``cumulatives()`` are streams: each call starts a new
-    iterator at m = 1 that keeps its state in generator locals and grows
-    nothing on the instance.  The point reads ``angle``,
-    ``cumulative_plus`` and ``cumulative_minus`` give the same values bit
-    for bit, at any index in any order.  On the float backend they read
-    lists filled from private streams in blocks of _GROW_BLOCK.  On the
-    exact Fibonacci backend a point read is stateless: the stream started
-    at its index by one ``fib_pair_mod`` walk to (F_{m-1}, F_m) mod 2q,
-    with the delta part delta * F_{k-1} mod 2*pi at index k read from a
-    list filled from the float schedule at alpha1 = 0; at delta = 0 that
-    part is 0.0 and no list grows.
+    Each call of ``angles()`` or ``cumulatives()`` starts a new stream at
+    m = 1 and grows nothing on the instance.  On the float backend the
+    point reads read lists filled from private streams in blocks of
+    _GROW_BLOCK.  On the exact Fibonacci backend a point read is the stream
+    started at its index by one ``fib_pair_mod`` walk to (F_{m-1}, F_m)
+    mod 2q, with the delta part at index k read from a list filled from the
+    float schedule at alpha1 = 0; at delta = 0 that part is 0.0 and no list
+    grows.
     """
 
     config: ScheduleConfig

@@ -9,10 +9,11 @@ maps an engine state (x0, x1, y2, y3) to its amplitudes (x0, x1, i y2, i y3).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from fractions import Fraction
 from typing import Iterator
 
-from qturing import engine
+from qturing import analysis, engine
 from qturing.engine import State, TapeState
 from qturing.schedule import AngleSequence, ScheduleConfig, ScheduleMode, fib_mod, wrap_angle
 
@@ -123,6 +124,22 @@ def pair_metrics(state_a: ComplexState, state_b: ComplexState,
     d11 = (a2 * a2c + a3 * a3c).real - (b2 * b2c + b3 * b3c).real
     d01 = (a0 * a2c + a1 * a3c) - (b0 * b2c + b1 * b3c)
     return d00 * d00 + d11 * d11 + 2.0 * (d01.real * d01.real + d01.imag * d01.imag), ov
+
+
+def d2_at(rows: list[tuple[int, float, float]], step: int) -> float:
+    """d2 of the (n, d2, overlap) row recorded at ``step``; KeyError if none is."""
+    idx = bisect_left(rows, (step,))
+    if idx == len(rows) or rows[idx][0] != step:
+        raise KeyError(f"step {step} was not recorded")
+    return rows[idx][1]
+
+
+def presaturation_end(rows: list[tuple[int, float, float]]) -> int:
+    """First recorded step whose d2 reaches the fits' saturation guard (or the last step)."""
+    for n, d2, _ in rows:
+        if d2 >= analysis._SATURATION_GUARD:
+            return n
+    return rows[-1][0]
 
 
 def run(seq: AngleSequence, state: State, n_steps: int) -> State:

@@ -14,6 +14,7 @@ from qturing import engine, oracle
 from qturing.analysis import (
     ExperimentConfig,
     Subsystem,
+    distance_rows,
     distance_trace,
     fit_power_law,
     lyapunov_estimate,
@@ -27,7 +28,7 @@ from qturing.schedule import (
     ScheduleConfig,
     ScheduleMode,
 )
-from reference import SIGMA1, lift, norm_sq, run
+from reference import SIGMA1, d2_at, lift, norm_sq, presaturation_end, run
 
 EQUAL = SuperpositionWeights(1 / math.sqrt(2), 1 / math.sqrt(2))
 APERIODIC_ALPHA1 = (2.0 / 5.0) * 3.141592654  # deliberately truncated pi
@@ -219,7 +220,7 @@ def test_criterion_5_lyapunov_rate():
         steps=80,
         subsystem=Subsystem.HEAD,
     )
-    rate = lyapunov_estimate(distance_trace(cfg), (5, 15))
+    rate = lyapunov_estimate(distance_rows(cfg), (5, 15))
     elapsed = time.perf_counter() - start
     rel = abs(rate - LOG_GOLDEN_RATIO) / LOG_GOLDEN_RATIO
     ok = rel < 0.05 and elapsed < 1.0
@@ -239,10 +240,10 @@ def test_criterion_6a_fixed_schedule_constant():
         steps=120,
         subsystem=Subsystem.NETWORK,
     )
-    trace = distance_trace(cfg)
-    steps, d2 = np.asarray(trace.steps), np.asarray(trace.d2)
+    rows = distance_trace(cfg)
+    steps, d2, _ = np.asarray(rows).T
     window = d2[(steps >= 4) & (steps <= 60)]
-    spread = float(np.abs(window - trace.d2_at(4)).max())
+    spread = float(np.abs(window - d2_at(rows, 4)).max())
     elapsed = time.perf_counter() - start
     ok = spread < 1e-10 and elapsed < 2.0
     _report("6a fixed-constant", ok, f"max|d2(n)-d2(4)|={spread:.2e}, {elapsed:.2f}s")
@@ -256,7 +257,7 @@ def test_criterion_6b_arithmetic_schedule_power_law():
         steps=200,
         subsystem=Subsystem.HEAD,
     )
-    k = fit_power_law(distance_trace(cfg), (4, 60))
+    k = fit_power_law(distance_rows(cfg), (4, 60))
 
     # a_{m+1} = 2 a_m - a_{m-1} re-seeded with a_0 = delta (a_1 fixed) shifts
     # a_m by delta (1 - m), so the cumulative angle moves by
@@ -288,15 +289,15 @@ def test_criterion_6c_fibonacci_schedule_exponential_saturating():
         steps=400,
         subsystem=Subsystem.HEAD,
     )
-    trace = distance_trace(cfg)
-    end = trace.presaturation_end()
-    ns = [int(n) for n in trace.steps if 4 <= n < end and trace.d2_at(int(n)) > 0]
+    rows = distance_trace(cfg)
+    end = presaturation_end(rows)
+    ns = [n for n, _, _ in rows if 4 <= n < end and d2_at(rows, n) > 0]
     slope = float(
-        np.polyfit(ns, [0.5 * math.log(trace.d2_at(n)) for n in ns], 1)[0]
+        np.polyfit(ns, [0.5 * math.log(d2_at(rows, n)) for n in ns], 1)[0]
     )
     target = LOG_GOLDEN_RATIO / 2
     rel = abs(slope - target) / target
-    peak = float(np.asarray(trace.d2).max())
+    peak = float(np.asarray(rows)[:, 1].max())
     elapsed = time.perf_counter() - start
     ok = rel < 0.10 and peak <= 2.0 + 1e-10 and elapsed < 2.0
     _report("6c fibonacci-exponential", ok,

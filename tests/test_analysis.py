@@ -40,25 +40,22 @@ def experiment(mode, delta, steps, subsystem, alpha1_exact=(2, 5), **kw):
 
 def test_unperturbed_trace_is_identically_zero():
     cfg = experiment(ScheduleMode.FIBONACCI, 0.0, 100, Subsystem.HEAD)
-    trace = distance_trace(cfg)
-    assert np.all(np.asarray(trace.d2) == 0.0)  # identical trajectories, exact zero
-    np.testing.assert_allclose(trace.overlap, 1.0, atol=1e-12)
+    _, d2, overlap = np.asarray(distance_trace(cfg)).T
+    assert np.all(d2 == 0.0)  # identical trajectories, exact zero
+    np.testing.assert_allclose(overlap, 1.0, atol=1e-12)
 
 
 def test_trace_is_deterministic():
     cfg = experiment(ScheduleMode.FIBONACCI, 0.001, 150, Subsystem.HEAD)
     a = distance_trace(cfg)
     b = distance_trace(cfg)
-    assert np.array_equal(a.d2, b.d2)
-    assert np.array_equal(a.overlap, b.overlap)
-    assert np.array_equal(a.steps, b.steps)
+    assert np.array_equal(a, b)
 
 
 def test_trace_bounds_and_network_identity():
     for sub in Subsystem:
         cfg = experiment(ScheduleMode.FIBONACCI, 0.001, 300, sub)
-        trace = distance_trace(cfg)
-        d2, overlap = np.asarray(trace.d2), np.asarray(trace.overlap)
+        _, d2, overlap = np.asarray(distance_trace(cfg)).T
         assert d2.min() >= 0.0
         assert d2.max() <= 2.0 + 1e-10
         assert overlap.min() >= 0.0
@@ -71,9 +68,9 @@ def test_trace_bounds_and_network_identity():
 
 def test_fixed_schedule_network_distance_is_constant():
     cfg = experiment(ScheduleMode.FIXED, 0.001, 120, Subsystem.NETWORK)
-    trace = distance_trace(cfg)
-    baseline = trace.d2_at(4)
-    steps, d2 = np.asarray(trace.steps), np.asarray(trace.d2)
+    rows = distance_trace(cfg)
+    baseline = reference.d2_at(rows, 4)
+    steps, d2, _ = np.asarray(rows).T
     window = d2[(steps >= 4) & (steps <= 60)]
     assert np.abs(window - baseline).max() < 1e-10
 
@@ -81,21 +78,19 @@ def test_fixed_schedule_network_distance_is_constant():
 def test_fixed_schedule_head_distance_stays_small():
     # the head distance oscillates at O(delta^2) but never grows
     cfg = experiment(ScheduleMode.FIXED, 0.001, 400, Subsystem.HEAD)
-    trace = distance_trace(cfg)
-    assert np.asarray(trace.d2).max() < 1e-5
+    assert np.asarray(distance_trace(cfg))[:, 1].max() < 1e-5
 
 
 def test_fibonacci_trace_saturates_below_two():
     cfg = experiment(ScheduleMode.FIBONACCI, 0.001, 600, Subsystem.HEAD)
-    d2 = np.asarray(distance_trace(cfg).d2)
+    d2 = np.asarray(distance_trace(cfg))[:, 1]
     assert d2.max() <= 2.0 + 1e-10
     assert d2.max() > 1.5  # reaches the saturation regime
 
 
 def test_record_every_thins_records():
     cfg = experiment(ScheduleMode.FIBONACCI, 0.001, 100, Subsystem.HEAD, record_every=10)
-    trace = distance_trace(cfg)
-    assert list(trace.steps) == list(range(0, 101, 10))
+    assert [n for n, _, _ in distance_rows(cfg)] == list(range(0, 101, 10))
 
 
 def test_record_every_keeps_final_step():
@@ -103,16 +98,16 @@ def test_record_every_keeps_final_step():
         experiment(ScheduleMode.FIBONACCI, 0.001, 105, Subsystem.HEAD, record_every=10)
     )
     full = distance_trace(experiment(ScheduleMode.FIBONACCI, 0.001, 105, Subsystem.HEAD))
-    assert list(thin.steps) == [*range(0, 101, 10), 105]
-    assert thin.d2_at(105) == full.d2_at(105)
+    assert [n for n, _, _ in thin] == [*range(0, 101, 10), 105]
+    assert reference.d2_at(thin, 105) == reference.d2_at(full, 105)
 
 
 def test_trace_lookup_helpers():
     cfg = experiment(ScheduleMode.FIBONACCI, 0.001, 50, Subsystem.HEAD)
-    trace = distance_trace(cfg)
-    assert trace.d2_at(10) == trace.d2[10]
+    rows = distance_trace(cfg)
+    assert reference.d2_at(rows, 10) == rows[10][1]
     with pytest.raises(KeyError):
-        trace.d2_at(999)
+        reference.d2_at(rows, 999)
 
 
 def test_config_validation():
@@ -128,29 +123,29 @@ def test_config_validation():
 
 def test_lyapunov_rate_fibonacci():
     cfg = experiment(ScheduleMode.FIBONACCI, 1e-8, 80, Subsystem.HEAD)
-    rate = lyapunov_estimate(distance_trace(cfg), (5, 15))
+    rate = lyapunov_estimate(distance_rows(cfg), (5, 15))
     assert rate == pytest.approx(LOG_GOLDEN_RATIO, rel=0.05)
 
 
 def test_lyapunov_rate_arithmetic_is_negligible():
     cfg = experiment(ScheduleMode.ARITHMETIC, 1e-8, 450, Subsystem.HEAD)
-    rate = lyapunov_estimate(distance_trace(cfg), (100, 200))
+    rate = lyapunov_estimate(distance_rows(cfg), (100, 200))
     assert abs(rate) < 0.05
 
 
 def test_lyapunov_rate_fixed_is_negligible():
     cfg = experiment(ScheduleMode.FIXED, 1e-8, 450, Subsystem.HEAD)
-    rate = lyapunov_estimate(distance_trace(cfg), (100, 200))
+    rate = lyapunov_estimate(distance_rows(cfg), (100, 200))
     assert abs(rate) < 0.05
 
 
 def test_lyapunov_guards():
     cfg = experiment(ScheduleMode.FIBONACCI, 0.001, 120, Subsystem.HEAD)
-    trace = distance_trace(cfg)
+    rows = distance_trace(cfg)
     with pytest.raises(ValueError):  # window reaches saturation
-        lyapunov_estimate(trace, (5, 40))
+        lyapunov_estimate(rows, (5, 40))
     with pytest.raises(ValueError):  # too few points
-        lyapunov_estimate(trace, (5, 7))
+        lyapunov_estimate(rows, (5, 7))
 
 
 @pytest.mark.parametrize("window,message", [
@@ -158,21 +153,20 @@ def test_lyapunov_guards():
     ((-3, 15), "fit window starts at cycle -3, must start at >= 0"),
 ], ids=["inverted", "negative-start"])
 def test_lyapunov_rejects_bad_window(window, message):
-    trace = distance_trace(experiment(ScheduleMode.FIBONACCI, 1e-8, 60, Subsystem.HEAD))
+    rows = distance_rows(experiment(ScheduleMode.FIBONACCI, 1e-8, 60, Subsystem.HEAD))
     with pytest.raises(ValueError) as err:
-        lyapunov_estimate(trace, window)
+        lyapunov_estimate(rows, window)
     assert str(err.value) == message
+    assert next(rows)[0] == 0  # checked before the first row was drawn
 
 
 def test_lyapunov_window_may_start_at_cycle_zero():
-    trace = distance_trace(experiment(ScheduleMode.FIBONACCI, 1e-8, 60, Subsystem.HEAD))
-    assert lyapunov_estimate(trace, (0, 15)) == pytest.approx(LOG_GOLDEN_RATIO, rel=0.2)
+    rows = distance_rows(experiment(ScheduleMode.FIBONACCI, 1e-8, 60, Subsystem.HEAD))
+    assert lyapunov_estimate(rows, (0, 15)) == pytest.approx(LOG_GOLDEN_RATIO, rel=0.2)
 
 
-def _with_nan_at(trace, step):
-    d2 = list(trace.d2)
-    d2[trace.steps.index(step)] = math.nan
-    return replace(trace, d2=tuple(d2))
+def _with_nan_at(rows, step):
+    return [(n, math.nan if n == step else d2, ov) for n, d2, ov in rows]
 
 
 @pytest.mark.parametrize("fit,window", [
@@ -181,19 +175,30 @@ def _with_nan_at(trace, step):
 ], ids=["lyapunov", "power-law"])
 def test_fits_reject_a_nan_d2_in_their_window(fit, window):
     # NaN compares False both ways, so it used to drop out of the fit unseen
-    trace = distance_trace(experiment(ScheduleMode.FIBONACCI, 1e-8, 80, Subsystem.HEAD))
-    clean = fit(trace, window)
+    rows = distance_trace(experiment(ScheduleMode.FIBONACCI, 1e-8, 80, Subsystem.HEAD))
+    clean = fit(rows, window)
     with pytest.raises(ValueError, match=r"^d2\(20\) is NaN$"):
-        fit(_with_nan_at(trace, 20), window)
-    assert fit(_with_nan_at(trace, 80), window) == clean  # outside the window
+        fit(_with_nan_at(rows, 20), window)
+    assert fit(_with_nan_at(rows, 80), window) == clean  # outside the window
+
+
+def test_fits_stop_at_the_saturation_guard():
+    # synthetic rows growing by 1.5 per step, all below the guard of 0.5,
+    # and one row at step 14 just above it
+    below = [(n, 1e-4 * 1.5**n, 1.0) for n in range(14)]
+    above = (14, 0.55, 1.0)
+    with pytest.raises(ValueError, match=r"^window reaches saturation: d2\(14\) = 0\.55 >= 0\.5$"):
+        lyapunov_estimate([*below, above], (0, 7))
+    # the power-law fit leaves the row out, which a row below the guard would move
+    assert fit_power_law([*below, above], (1, 14)) == fit_power_law(below, (1, 14))
+    assert fit_power_law([*below, (14, 0.45, 1.0)], (1, 14)) != fit_power_law(below, (1, 14))
 
 
 def test_distance_rows_stream_the_trace():
     cfg = experiment(ScheduleMode.FIBONACCI, 0.001, 105, Subsystem.TAPE, record_every=10)
     rows = distance_rows(cfg)
     assert iter(rows) is rows  # a generator: rows are made as they are read
-    trace = distance_trace(cfg)
-    assert list(rows) == list(zip(trace.steps, trace.d2, trace.overlap))
+    assert list(rows) == distance_trace(cfg)
 
 
 @pytest.mark.parametrize("steps,every", [
@@ -227,16 +232,15 @@ def test_distance_rows_match_the_complex_reference_twins(schedule, steps, every)
 
 def test_lyapunov_requires_recorded_cycles():
     cfg = experiment(ScheduleMode.FIBONACCI, 1e-8, 80, Subsystem.HEAD, record_every=64)
-    trace = distance_trace(cfg)
     with pytest.raises(ValueError):
-        lyapunov_estimate(trace, (5, 15))
+        lyapunov_estimate(distance_rows(cfg), (5, 15))
 
 
 def test_arithmetic_growth_is_quadratic():
     # seed re-seeding shifts the arithmetic angles linearly, so the
     # cumulative deviation and hence D grow ~ n^2 before saturation
     cfg = experiment(ScheduleMode.ARITHMETIC, 0.001, 200, Subsystem.HEAD)
-    k = fit_power_law(distance_trace(cfg), (4, 60))
+    k = fit_power_law(distance_rows(cfg), (4, 60))
     assert 1.8 < k < 2.5
 
 
@@ -244,10 +248,10 @@ def test_fibonacci_growth_class_shared_by_subsystems():
     # ln D slope per step ~ ln(beta)/2 for head, tape and network alike
     for sub in Subsystem:
         cfg = experiment(ScheduleMode.FIBONACCI, 0.001, 200, sub)
-        trace = distance_trace(cfg)
-        end = trace.presaturation_end()
-        ns = [int(n) for n in trace.steps if 4 <= n < end and trace.d2_at(int(n)) > 0]
-        ys = [0.5 * math.log(trace.d2_at(n)) for n in ns]
+        rows = distance_trace(cfg)
+        end = reference.presaturation_end(rows)
+        ns = [n for n, _, _ in rows if 4 <= n < end and reference.d2_at(rows, n) > 0]
+        ys = [0.5 * math.log(reference.d2_at(rows, n)) for n in ns]
         slope = float(np.polyfit(ns, ys, 1)[0])
         assert slope == pytest.approx(LOG_GOLDEN_RATIO / 2, rel=0.25), sub
 
@@ -255,7 +259,7 @@ def test_fibonacci_growth_class_shared_by_subsystems():
 def test_fit_power_law_needs_points():
     cfg = experiment(ScheduleMode.ARITHMETIC, 0.001, 100, Subsystem.HEAD)
     with pytest.raises(ValueError):
-        fit_power_law(distance_trace(cfg), (4, 6))
+        fit_power_law(distance_rows(cfg), (4, 6))
 
 
 # --- stability factors --------------------------------------------------------------

@@ -392,6 +392,23 @@ def test_oracle_check_fails_on_nan_prediction(capsys, monkeypatch, target, at, s
     assert report["max_deviation"] < 1e-9
 
 
+def test_oracle_check_fails_past_the_tolerance(capsys, monkeypatch):
+    # head s3 predicted 5e-9 off at step 7: past a tolerance of 1e-9, within ten of it
+    stream = oracle.predictions
+
+    def predictions(seq, weights, count):
+        for n, (p2, p3, p_t3) in enumerate(stream(seq, weights, count), 1):
+            yield (p2, p3 + 5e-9, p_t3) if n == 7 else (p2, p3, p_t3)
+
+    monkeypatch.setattr(oracle, "predictions", predictions)
+    assert run_cli("oracle-check", "--alpha1", "2/5", "--steps", "10",
+                   "--tolerance", "1e-9") == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["pass"] is False
+    assert report["first_failing_step"] == 7
+    assert 4e-9 < report["max_deviation"] < 6e-9
+
+
 @pytest.mark.parametrize("change", [-1, 1], ids=["one-short", "one-long"])
 def test_oracle_check_rejects_a_prediction_stream_of_another_length(
         capsys, monkeypatch, tmp_path, change):
@@ -474,13 +491,12 @@ def test_lyapunov_rejects_bad_fit_window(tmp_path, capsys, lo, hi, message):
 
 @pytest.mark.parametrize("lo,hi", [("15", "5"), ("-3", "15")], ids=["inverted", "negative-start"])
 def test_lyapunov_checks_fit_window_before_the_trace(monkeypatch, capsys, lo, hi):
-    def no_trace(cfg):
-        raise AssertionError("distance trace computed for a bad fit window")
-
-    monkeypatch.setattr(analysis, "distance_rows", no_trace)
+    # the fit checks its window before it draws a row, so no cycle runs
+    draws = _count_draws(monkeypatch, "angles")
     assert run_cli("lyapunov", "--alpha1", "2/5", "--steps", "200000",
                    "--fit-lo", lo, "--fit-hi", hi) == 2
     assert capsys.readouterr().err.startswith("error: fit window ")
+    assert draws["angles"] == 0
 
 
 @pytest.mark.parametrize("argv", [
@@ -901,9 +917,8 @@ def test_streamed_distance_matches_collected_trace(tmp_path):
     cfg = analysis.ExperimentConfig(
         schedule=parse_alpha1("2/5", ScheduleMode.FIBONACCI, 0.001),
         steps=9001, subsystem="network")
-    trace = analysis.distance_trace(cfg)
     lines = ["n,d2,overlap"] + [
-        f"{n},{d2:.17g},{ov:.17g}" for n, d2, ov in zip(trace.steps, trace.d2, trace.overlap)
+        f"{n},{d2:.17g},{ov:.17g}" for n, d2, ov in analysis.distance_trace(cfg)
     ]
     assert out.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
 
@@ -919,7 +934,7 @@ def test_oracle_check_fails_on_nan_deviation(capsys, monkeypatch):
 
 
 def test_nan_in_report_is_error_and_writes_nothing(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(analysis, "lyapunov_estimate", lambda trace, window: float("nan"))
+    monkeypatch.setattr(analysis, "lyapunov_estimate", lambda rows, window: float("nan"))
     assert_usage_error(capsys, "lyapunov", "--alpha1", "2/5", "--steps", "60",
                        "--out", str(tmp_path / "rate.json"))
     assert list(tmp_path.iterdir()) == []

@@ -155,6 +155,10 @@ def test_superposed_matches_alternating_sum_product_form():
 def test_weights_must_be_normalized():
     with pytest.raises(ValueError):
         SuperpositionWeights(1.0, 1.0)
+    # the norm is held to 1e-12: 1 + 1e-9 is rejected, 1 + 1e-13 accepted
+    with pytest.raises(ValueError, match="must be normalized"):
+        SuperpositionWeights(math.sqrt(1.0 + 1e-9), 0.0)
+    assert SuperpositionWeights(math.sqrt(1.0 + 1e-13), 0.0).wp == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(math.nan, 0.0),
