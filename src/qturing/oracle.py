@@ -28,8 +28,10 @@ from .schedule import (
     wrap_angle,
 )
 
-#: largest index at which Fibonacci numbers stay meaningful in double
-#: precision products; larger requests are rejected rather than degraded
+#: largest Fibonacci index the stability closed forms accept: a policy
+#: bound, not a precision limit.  F_k is an exact double only up to k = 78
+#: (F_79 = 14472334024676221 is odd and above 2**53), so each float product
+#: with F_k rounds it from k = 79 on; only M11's limit F_{m-1} is an exact int
 _MAX_FIB_INDEX = 90
 
 #: largest cycle index m that ``stability_limits`` accepts: it reads F_{m+2}

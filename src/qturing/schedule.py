@@ -23,11 +23,17 @@ When alpha1 is declared as an exact rational multiple of pi via
 ``exact=(p, q)``, every Fibonacci-mode angle and cumulative rotation is a
 closed form in integer Fibonacci residues mod 2q, so arbitrarily long
 periodic runs carry no float drift.  A stream advances its residues by one
-addition per index; a point read is stateless, one fast-doubling walk to
-its index.  One float recurrence, ``_recurrence``, serves both backends:
-on the float backend it yields the angles a_m, and on the exact one the
-delta part delta * F_{k-1} mod 2*pi at index k, the float schedule at
-alpha1 = 0.
+addition per index.  One float recurrence, ``_recurrence``, serves both
+backends: on the float backend it yields the angles a_m, and on the exact
+one the delta part delta * F_{k-1} mod 2*pi at index k, the float schedule
+at alpha1 = 0.
+
+A point read follows one rule.  On the exact backend at delta = 0 it is
+stateless: one fast-doubling walk to its index.  Every other point read
+reads two lists on the instance, grown on demand from its own streams, so
+it returns the stream's value at its index.  A read at index m keeps m + 1
+entries in its list, a pair each for the cumulatives; no command makes
+point reads per step.
 """
 from __future__ import annotations
 
@@ -146,10 +152,6 @@ class ScheduleConfig:
         return cls(mode=mode, alpha1=(p / q) * math.pi, delta=delta, exact=(p, q))
 
 
-#: entries a point-read cache appends per block when a read runs past it
-_GROW_BLOCK = 256
-
-
 def _recurrence(mode: ScheduleMode, a0: float, a1: float) -> Iterator[float]:
     """a_1, a_2, ... of the schedule seeded (a0, a1), each reduced mod 2*pi."""
     yield a1
@@ -162,19 +164,17 @@ def _recurrence(mode: ScheduleMode, a0: float, a1: float) -> Iterator[float]:
 
 
 def _grow(cache: list, feed: Iterator, i: int):
-    """Entry i of a point-read cache, extended first from ``feed`` in whole
-    blocks of _GROW_BLOCK when it is shorter."""
+    """Entry i of a point-read cache, extended first from ``feed`` up to
+    entry i when it is shorter."""
     if i >= len(cache):
-        cache.extend(islice(feed, (i - len(cache)) // _GROW_BLOCK * _GROW_BLOCK + _GROW_BLOCK))
+        cache.extend(islice(feed, i + 1 - len(cache)))
     return cache[i]
 
 
 def _fib_at(m: int, mod: int) -> tuple[int, int]:
-    """(F_{m-1}, F_m) mod ``mod`` for m >= -1, with F_{-2} = -1 and F_{-1} = 1:
-    one fib_pair_mod walk for m >= 1, none below."""
-    if m > 0:
-        return fib_pair_mod(m - 1, mod)
-    return (1, 0) if m == 0 else (mod - 1, 1)
+    """(F_{m-1}, F_m) mod ``mod`` for m >= 0, with F_{-1} = 1: one
+    fib_pair_mod walk for m >= 1, none at 0."""
+    return fib_pair_mod(m - 1, mod) if m else (1, 0)
 
 
 @dataclass
@@ -182,13 +182,13 @@ class AngleSequence:
     """One schedule on one of two backends, chosen once.
 
     Each call of ``angles()`` or ``cumulatives()`` starts a new stream at
-    m = 1 and grows nothing on the instance.  On the float backend the
-    point reads read lists filled from private streams in blocks of
-    _GROW_BLOCK.  On the exact Fibonacci backend a point read is the stream
+    m = 1 and grows nothing on the instance.  A point read follows one
+    rule.  On the exact Fibonacci backend at delta = 0 it is the stream
     started at its index by one ``fib_pair_mod`` walk to (F_{m-1}, F_m)
-    mod 2q, with the delta part at index k read from a list filled from the
-    float schedule at alpha1 = 0; at delta = 0 that part is 0.0 and no list
-    grows.
+    mod 2q, and it grows nothing.  Every other point read reads the lists
+    ``_ang`` and ``_cum``, each grown on demand from the instance's own
+    ``angles()`` or ``cumulatives()`` stream; entry 0 holds the seed a_0,
+    and (a_0, a_0), on every backend.
     """
 
     config: ScheduleConfig
@@ -196,17 +196,15 @@ class AngleSequence:
     def __post_init__(self) -> None:
         cfg = self.config
         self._a0 = wrap_angle(cfg.delta)
+        self._a1 = wrap_angle(cfg.alpha1)
         # (p, q) on the exact backend, None on the float one
         self._exact = cfg.exact if cfg.mode is ScheduleMode.FIBONACCI else None
-        if self._exact is not None:
-            self._delta_list = [self._a0]  # delta * F_{k-1} mod 2*pi at index k >= 0
-            self._delta_feed = self._deltas()
-            return
-        self._a1 = wrap_angle(cfg.alpha1)
+        # whether a point read walks instead of reading the lists
+        self._walk = self._exact is not None and not cfg.delta
         self._ang = [self._a0]  # a_m at index m >= 0
-        self._ang_feed = _recurrence(cfg.mode, self._a0, self._a1)
+        self._ang_feed = self.angles()
         self._cum = [(self._a0, self._a0)]  # (C+(m), C-(2m)) at index m >= 0
-        self._cum_feed = self._float_cumulatives()
+        self._cum_feed = self.cumulatives()
 
     # -- streams -------------------------------------------------------------
 
@@ -221,14 +219,15 @@ class AngleSequence:
         ``(cumulative_plus(m), cumulative_minus(2 * m))``."""
         if self._exact is None:
             return self._float_cumulatives()
-        # delta * F_{m+1} and delta * F_{m-2} are entries m + 2 and m - 1
+        # delta * F_{m+1} and delta * F_{m-2} are delta parts k = m + 2 and
+        # k = m - 1, with part 0, delta * F_{-1}, the seed a_0
         ahead, behind = tee(self._deltas())
         return self._exact_cumulatives(1, zip(islice(ahead, 2, None), chain((self._a0,), behind)))
 
     def _deltas(self) -> Iterator[float]:
-        """Entries k = 1, 2, ... of the exact backend's delta list,
-        delta * F_{k-1} mod 2*pi: the float schedule at alpha1 = 0, seeded
-        (delta, 0)."""
+        """The exact backend's delta parts delta * F_{k-1} mod 2*pi for
+        k = 1, 2, ...: the float schedule at alpha1 = 0, seeded (delta, 0),
+        and 0.0 throughout at delta = 0."""
         if not self.config.delta:
             return repeat(0.0)
         return _recurrence(ScheduleMode.FIBONACCI, self._a0, 0.0)
@@ -245,7 +244,8 @@ class AngleSequence:
             yield plus, wrap_angle(a0 - alt)
 
     # The exact backend's closed forms, each written once: a stream starts at
-    # m = 1, and a point read is the stream started at its index by one walk.
+    # m = 1, and a point read at delta = 0 is the stream started at its index
+    # by one walk.
 
     def _exact_angles(self, m: int, deltas: Iterable[float]) -> Iterator[float]:
         """a_m, a_{m+1}, ...: one angle per delta part delta * F_{k-1} in
@@ -275,25 +275,19 @@ class AngleSequence:
 
     # -- point reads ---------------------------------------------------------
 
-    def _delta_part(self, k: int) -> float:
-        """Entry k >= 0 of the exact backend's delta list, delta * F_{k-1} mod 2*pi."""
-        return _grow(self._delta_list, self._delta_feed, k) if self.config.delta else 0.0
-
     def _cumulatives_at(self, m: int) -> tuple[float, float]:
         """(C+(m), C-(2m)) for m >= 0."""
-        if self._exact is None:
-            return _grow(self._cum, self._cum_feed, m)
-        # delta * F_{m-2}; F_{-2} = -1 is the one index the delta list does not hold
-        behind = self._delta_part(m - 1) if m else wrap_angle(-self.config.delta)
-        return next(self._exact_cumulatives(m, [(self._delta_part(m + 2), behind)]))
+        if self._walk and m:
+            return next(self._exact_cumulatives(m, repeat((0.0, 0.0))))
+        return _grow(self._cum, self._cum_feed, m)
 
     def angle(self, m: int) -> float:
         """Rotation angle a_m in [0, 2*pi), m >= 1."""
         if m < 1:
             raise ValueError(f"angle index must be >= 1, got {m}")
-        if self._exact is None:
-            return _grow(self._ang, self._ang_feed, m)
-        return next(self._exact_angles(m, [self._delta_part(m)]))
+        if self._walk:
+            return next(self._exact_angles(m, repeat(0.0)))
+        return _grow(self._ang, self._ang_feed, m)
 
     def cumulative_plus(self, m: int) -> float:
         """Total rotation accrued by the tape-plus branch after 2m steps.

@@ -242,6 +242,12 @@ def test_stability_mismatch_is_check_failure(tmp_path, capsys, alpha1, deltas):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: the perturbed runs read the float "
+                   "delta part of the schedule, which drifts (M11 2331.85706 vs 2331.85724)")
+def test_stability_passes_at_m_60_with_the_default_deltas(capsys):
+    assert run_cli("stability", "--alpha1", "2/5", "--m", "60") == 0
+
+
 def test_stability_catches_only_the_mismatch(monkeypatch):
     def broken(m, deltas, schedule):
         raise RuntimeError("not a closed-form mismatch")
@@ -347,6 +353,13 @@ def test_oracle_check_passes(capsys):
     assert report["pass"] is True
     assert report["max_deviation"] < 1e-9
     assert report["first_failing_step"] is None
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: wrap_angle reduces delta modulo the "
+                   "double 2*pi while init_state rotates by the raw delta (1.17e-9 at step 1)")
+def test_oracle_check_passes_at_a_large_delta(capsys):
+    assert run_cli("oracle-check", "--alpha1", "2/5", "--steps", "10", "--delta", "3e7") == 0
+    assert json.loads(capsys.readouterr().out)["pass"] is True
 
 
 def test_oracle_check_detects_corrupted_pauli(capsys, monkeypatch):
@@ -1041,6 +1054,32 @@ def test_stability_walks_at_most_once_per_sequence(monkeypatch):
     walks = _count_walks(monkeypatch)
     assert run_cli("stability", "--alpha1", "2/5", "--m", "20") == 0
     assert walks == [20]  # (F_m, F_{m+1}) mod 2q, one addition short of F_{m+2}
+
+
+# --- README and CI ---------------------------------------------------------------------------
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def readme_commands():
+    """The ``qturing ...`` lines of README's ``sh`` code blocks."""
+    blocks = re.findall(r"^```sh\n(.*?)^```", (ROOT / "README.md").read_text(encoding="utf-8"),
+                        re.M | re.S)
+    return [line for block in blocks for line in block.splitlines() if line.startswith("qturing ")]
+
+
+def ci_runtime_only_runs():
+    """The one-line ``- run:`` steps of the workflow's ``runtime-only`` job."""
+    text = (ROOT / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
+    job = re.search(r"^  runtime-only:\n(.*?)(?=^  \S|\Z)", text, re.M | re.S).group(1)
+    return re.findall(r"^\s+- run: (.+)$", job, re.M)
+
+
+def test_readme_commands_run_in_ci_exactly_as_written():
+    commands = readme_commands()
+    assert len(commands) >= 8
+    runs = ci_runtime_only_runs()
+    assert [c for c in commands if c not in runs] == []
 
 
 # --- fuzzing ---------------------------------------------------------------------------------

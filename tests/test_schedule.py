@@ -352,15 +352,16 @@ def test_delta_part_exact_oracle():
 def test_exact_backend_is_integer_closed_form_plus_float_delta_part(delta):
     # every exact-backend value is its integer closed form in F_m mod 2q plus
     # delta * F_k mod 2*pi read from the float schedule at alpha1 = 0, whose
-    # entry k + 1 is delta * F_k; delta * F_{-2} = -delta and delta * F_{-1} = delta.
-    # The streams are scanned over the whole range, point reads at sampled m.
+    # entry k + 1 is delta * F_k, and delta * F_{-1} = delta; index 0 holds
+    # the seed (a_0, a_0).  The streams are scanned over the whole range,
+    # point reads at sampled m.
     top = 5000
     sampled = {0, 1, 2, 3, 4, 255, 256, 257, 513, 1000, top - 1, top}
     float_part = make_seq(0.0, delta=delta)
+    seed = wrap_angle(delta)
 
     def part(k):
-        return wrap_angle(-delta) if k == -2 else wrap_angle(delta) if k == -1 else \
-            float_part.angle(k + 1)
+        return seed if k == -1 else float_part.angle(k + 1)
 
     for p, q in [(2, 5), (-3, 7), (123, 257), (1, 999983)]:
         seq = AngleSequence(ScheduleConfig.exact_pi(p, q, delta=delta))
@@ -378,7 +379,7 @@ def test_exact_backend_is_integer_closed_form_plus_float_delta_part(delta):
             r = (p * (f[m + 3] - 1)) % mod  # sum_{j<=m} F_j = F_{m+2} - 1
             plus = wrap_angle(math.pi * r / q + part(m + 1))
             r = (p * ((-1) ** m - f[m])) % mod
-            even = wrap_angle(math.pi * r / q - part(m - 2))
+            even = wrap_angle(math.pi * r / q - part(m - 2)) if m else seed
             if m:
                 got = next(cumulatives)
                 assert (got[0].hex(), got[1].hex()) == (plus.hex(), even.hex()), ("stream", p, q, m)
@@ -483,8 +484,12 @@ def _assert_streams_need_no_fib_mod(monkeypatch, delta):
     for _ in zip(range(4001), seq.angles(), seq.cumulatives(), seq.angles()):
         pass
     assert calls == []
-    seq.angle(5)  # a point read walks once, to (F_3, F_4), so the hook is live
-    assert calls == [3]
+    # a point read walks only at delta = 0, once, to (F_3, F_4), so the hook
+    # is live; at delta != 0 it reads a list grown from the streams
+    seq.angle(5)
+    assert calls == ([] if delta else [3])
+    seq.cumulative_minus(10)
+    assert calls == ([] if delta else [3, 3])
 
 
 def test_exact_delta_growth_needs_no_fib_mod(monkeypatch):
@@ -495,7 +500,8 @@ def test_exact_growth_without_delta_needs_no_fib_mod(monkeypatch):
     _assert_streams_need_no_fib_mod(monkeypatch, 0.0)
 
 
-# --- exact backend: any query order gives the ascending values, each by one walk --
+# --- exact backend: any query order gives the ascending values, each by one
+# walk at delta = 0 and from the lists grown from the streams otherwise ------
 
 QUERIES = ("angle", "cumulative_plus", "cumulative_minus")
 LOWEST = {"angle": 1, "cumulative_plus": 0, "cumulative_minus": 0}
@@ -516,7 +522,7 @@ def ascending_values(config, kind, top):
     moves=st.lists(
         st.tuples(
             st.sampled_from(QUERIES),
-            # small forward steps, and jumps backward or past the advance window
+            # small forward steps, and jumps backward or far ahead
             st.one_of(st.integers(min_value=0, max_value=3),
                       st.integers(min_value=-400, max_value=400)),
         ),
@@ -542,8 +548,9 @@ def test_exact_queries_in_any_order_match_ascending_reads(pq, delta, moves):
 
 # --- float backend: any query order gives the eager recurrence's values ------
 
-#: indices around the float backend's growth blocks of 256 angles
-BLOCK_EDGES = [255, 256, 257, 513]
+#: indices on both sides of 256 and past 512, read in any order: a list
+#: grows by one entry or by hundreds
+EDGES = [255, 256, 257, 513]
 
 
 @settings(max_examples=100, deadline=None)
@@ -554,7 +561,7 @@ BLOCK_EDGES = [255, 256, 257, 513]
     moves=st.lists(
         st.tuples(
             st.sampled_from(QUERIES),
-            st.one_of(st.sampled_from(BLOCK_EDGES), st.integers(min_value=0, max_value=1100)),
+            st.one_of(st.sampled_from(EDGES), st.integers(min_value=0, max_value=1100)),
         ),
         min_size=1, max_size=40,
     ),
@@ -568,7 +575,7 @@ BLOCK_EDGES = [255, 256, 257, 513]
          moves=[("angle", 2), ("cumulative_minus", 600), ("angle", 257)])
 def test_float_queries_in_any_order_match_eager_recurrence(mode, alpha1, delta, moves):
     # every value must equal, bit for bit, the one-pass reference recurrence,
-    # wherever the reads fall against the growth blocks
+    # in whatever order the reads grow the lists
     config = ScheduleConfig(mode=mode, alpha1=alpha1, delta=delta)
     queries = [(kind, max(i, LOWEST[kind])) for kind, i in moves]
     reference = EagerFloatSchedule(config, max(i for _, i in queries) + 1)
@@ -600,7 +607,7 @@ def hexed(values):
     alpha1=st.sampled_from(STREAM_ALPHA1),
     mode=st.sampled_from(list(ScheduleMode)),
     delta=st.sampled_from([0.0, 1e-3, -1e-3, 1e-8, 7.0, 1e12]),
-    length=st.sampled_from([1, 2, 3] + BLOCK_EDGES),
+    length=st.sampled_from([1, 2, 3] + EDGES),
     reads=st.lists(st.tuples(st.sampled_from(QUERIES), st.integers(min_value=0, max_value=600)),
                    max_size=6),
 )
@@ -647,5 +654,15 @@ def test_streams_grow_no_point_read_cache(config):
     assert cache_sizes(seq) == sizes
     seq.angle(1000)
     seq.cumulative_plus(1000)
-    if config.delta or config.exact is None:  # the check is live: point reads do grow them
-        assert cache_sizes(seq) != sizes
+    # the check is live: point reads grow the lists, except the exact
+    # backend's at delta = 0, which walk
+    assert (cache_sizes(seq) != sizes) == bool(config.delta or config.exact is None)
+
+
+@pytest.mark.parametrize("delta", [1e-3, 0.37, 1e-8])
+@pytest.mark.parametrize("alpha1", [(2, 5), 2 * math.pi / 5], ids=["exact", "float"])
+def test_cumulative_minus_at_zero_is_the_seed_on_both_backends(alpha1, delta):
+    # index 0 holds the seed a_0 on every backend
+    seq = AngleSequence(stream_config(alpha1, ScheduleMode.FIBONACCI, delta))
+    assert seq.cumulative_minus(0).hex() == wrap_angle(delta).hex()
+    assert seq.cumulative_plus(0).hex() == wrap_angle(delta).hex()
