@@ -54,30 +54,18 @@ def trajectory_bloch(
     record_every: int = 1,
 ) -> Iterator[tuple[int, float, float, float]]:
     """(step, head s1, s2, s3) rows of a single trajectory, yielded as it
-    advances: every ``record_every`` steps and at the last step.
+    advances: every ``record_every`` steps and at the last step.  ``pattern``
+    writes them.
 
-    One cycle (rotation, then conditional NOT) per loop turn, as
-    ``engine.iterate`` steps it, with a_m drawn from one ``seq.angles()``
-    stream and the head read by ``engine.head_bloch``; an odd ``steps`` ends
-    on the tail rotation, by the stream's next angle.  A negative ``steps``
-    or a ``record_every`` below 1 raises ValueError.
+    The states are those of ``engine.iterate`` and the head is read by
+    ``engine.head_bloch``.  A ``record_every`` below 1 raises ValueError, and
+    ``iterate`` rejects a negative ``steps``.
     """
-    if steps < 0:
-        raise ValueError(f"step count must be >= 0, got {steps}")
     if record_every < 1:
         raise ValueError(f"record_every must be >= 1, got {record_every}")
-    angles = seq.angles()
-    rotate, flip, head = engine.apply_head_rotation, engine.apply_qcnot, engine.head_bloch
-    state = initial
-    for m, a in zip(range(1, steps // 2 + 1), angles):
-        state = rotate(state, a)
-        if (2 * m - 1) % record_every == 0:
-            yield (2 * m - 1, *head(state))
-        state = flip(state)
-        if (2 * m) % record_every == 0 or 2 * m == steps:
-            yield (2 * m, *head(state))
-    if steps % 2:
-        yield (steps, *head(rotate(state, next(angles))))
+    for n, state in engine.iterate(seq, initial, steps):
+        if n % record_every == 0 or n == steps:
+            yield (n, *engine.head_bloch(state))
 
 
 def distance_rows(cfg: ExperimentConfig) -> Iterator[tuple[int, float, float]]:

@@ -23,8 +23,9 @@ operations are pure functions of the state.
 
 A Bloch vector is a plain ``(s1, s2, s3)`` float tuple.  ``head_bloch``
 and ``tape_bloch`` read one from the four floats, each writing one spin's
-formula once.  ``pair_metrics`` defines a paired run's row from two states,
-and ``pair_rows`` steps both twins of one.
+formula once.  ``pair_metrics`` defines a paired run's row from two
+states.  ``iterate`` steps a single run and ``pair_rows`` a paired one; no
+other loop in the package steps a state.
 
 ``reduce_spin``, ``bloch_vector``, ``distance_sq`` and ``overlap_sq`` remain
 only as the density-matrix route: the tests hold the amplitude route to
@@ -104,7 +105,9 @@ def iterate(seq: AngleSequence, state: State, n_steps: int) -> Iterator[tuple[in
     Gate 2m-1 rotates the head by a_m, drawn from one ``seq.angles()``
     stream; gate 2m applies the conditional NOT.  Each loop turn steps one
     cycle, and an odd count ends on a rotation by the stream's next angle.
-    Deterministic and norm-preserving throughout.
+    Deterministic and norm-preserving throughout.  ``oracle-check`` and
+    ``stability`` step through it, and ``pattern`` through
+    ``analysis.trajectory_bloch``.
     """
     if n_steps < 0:
         raise ValueError(f"step count must be >= 0, got {n_steps}")

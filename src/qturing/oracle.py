@@ -177,7 +177,8 @@ def predictions(seq: AngleSequence, weights: SuperpositionWeights,
 
 
 def orbit_conditions(p: int, q: int, m: int) -> tuple[bool, bool, bool]:
-    """The three closure conditions at cycle m for alpha1 = (p/q)*pi.
+    """The three closure conditions at cycle m for alpha1 = (p/q)*pi; a
+    negative q is read as (-p, -q).
 
     Order: cumulative-plus = 0 (mod 2*pi), cumulative-minus = 0 (mod 2*pi),
     angle recurrence returns (a_{m+1} = a_1 mod 2*pi).  Exact integers,
@@ -190,6 +191,8 @@ def orbit_conditions(p: int, q: int, m: int) -> tuple[bool, bool, bool]:
         raise ValueError(f"(p, q) must be coprime, got ({p}, {q})")
     if m < 0:
         raise ValueError(f"cycle index must be >= 0, got {m}")
+    if q < 0:
+        p, q = -p, -q
     mod = 2 * q
     f0, f1 = fib_pair_mod(m, mod)
     f_m1 = (f1 - f0) % mod

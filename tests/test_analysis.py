@@ -194,6 +194,15 @@ def test_fits_stop_at_the_saturation_guard():
     assert fit_power_law([*below, (14, 0.45, 1.0)], (1, 14)) != fit_power_law(below, (1, 14))
 
 
+def test_fits_skip_rows_with_zero_d2():
+    # a zero d2 has no logarithm: both fits leave its row out of the window
+    rows = [(n, 1e-4 * 1.5**n, 1.0) for n in range(1, 15)]
+    zeroed = [(n, 0.0 if n in (2, 6) else d2, ov) for n, d2, ov in rows]
+    kept = [row for row in rows if row[0] not in (2, 6)]
+    assert lyapunov_estimate(zeroed, (0, 7)) == lyapunov_estimate(kept, (0, 7))
+    assert fit_power_law(zeroed, (1, 14)) == fit_power_law(kept, (1, 14))
+
+
 def test_distance_rows_stream_the_trace():
     cfg = experiment(ScheduleMode.FIBONACCI, 0.001, 105, Subsystem.TAPE, record_every=10)
     rows = distance_rows(cfg)
@@ -401,21 +410,20 @@ def test_trajectory_bloch_rejects_negative_steps():
     steps=st.sampled_from([1, 2, 3, 61, 2001]),
     record_every=st.sampled_from([1, 2, 7, 10]),
 )
-def test_trajectory_bloch_rows_equal_spin_bloch_over_iterate(
+def test_trajectory_bloch_rows_equal_the_complex_reference(
         alpha1, mode, tape, head_angle, steps, record_every):
-    # the one-cycle-per-turn loop gives the rows that head_bloch reads over
-    # engine.iterate, bit for bit
+    # the rows are the complex reference's head Bloch vectors, bit for bit,
+    # at every record_every-th step and at the last one
     if isinstance(alpha1, tuple):
         schedule = ScheduleConfig.exact_pi(*alpha1, mode=mode)
     else:
         schedule = ScheduleConfig(mode=mode, alpha1=alpha1)
     seq = AngleSequence(schedule)
-    initial = engine.init_state(head_angle, tape)
     expected = [
-        (n, *(x.hex() for x in engine.head_bloch(state)))
-        for n, state in engine.iterate(seq, initial, steps)
+        (n, *(x.hex() for x in reference.spin_bloch(state, "head")))
+        for n, state in reference.iterate(seq, reference.init_state(head_angle, tape), steps)
         if n % record_every == 0 or n == steps
     ]
-    got = [(n, *(x.hex() for x in bloch))
-           for n, *bloch in trajectory_bloch(seq, initial, steps, record_every)]
+    got = [(n, *(x.hex() for x in bloch)) for n, *bloch
+           in trajectory_bloch(seq, engine.init_state(head_angle, tape), steps, record_every)]
     assert got == expected

@@ -249,6 +249,13 @@ def test_bloch_rejects_corrupted_density_matrix():
         bloch_vector(rho)
 
 
+def test_bloch_rejects_an_imaginary_trace_of_one_micro():
+    # Im Tr(rho sigma1) = 1e-6 is far above rounding noise: rho is not Hermitian
+    rho = ((0.5 + 0j, 1e-6j), (0j, 0.5 + 0j))
+    with pytest.raises(ValueError, match=r"^density matrix is corrupted: Im Tr\(rho sigma\) = 1e-06"):
+        bloch_vector(rho)
+
+
 @settings(max_examples=50, deadline=None)
 @given(state=state_strategy)
 def test_bloch_length_bounded(state):

@@ -281,6 +281,13 @@ def test_orbit_conditions_reject_negative_cycle(m):
         orbit_conditions(2, 5, m)
 
 
+def test_orbit_conditions_accept_a_negative_q():
+    # (p, -q) declares the same alpha1 as (-p, q), as periodic_orbit_check reads it
+    assert periodic_orbit_check(2, -5) == periodic_orbit_check(-2, 5) == 40
+    for m in range(46):
+        assert orbit_conditions(2, -5, m) == orbit_conditions(-2, 5, m), m
+
+
 @settings(max_examples=300, deadline=None)
 @given(q=st.integers(1, 2000), p=st.integers(-4000, 4000), m=st.integers(0, 10**6),
        near_closure=st.booleans(), offset=st.integers(-2, 2))
@@ -417,6 +424,13 @@ def test_stability_limits_tape_needs_even_cycles():
 def test_stability_limits_rejects_degenerate_angle():
     limits = stability_limits(20, ScheduleConfig.exact_pi(1, 1))  # alpha1 = pi
     assert limits[:2] == (4181, 1.0) and limits.tape is None
+
+
+def test_tape_factor_is_defined_for_a_tiny_sin_alpha1():
+    # sin(pi / 10**9) ~ 3.1e-9 is small but not zero; only |sin| < 1e-12 counts as 0
+    config = ScheduleConfig.exact_pi(1, 10**9)
+    assert 0.0 < oracle.sin_alpha1(config) < 1e-8
+    assert oracle.tape_factor_undefined(2, config) is None
 
 
 def test_stability_limits_rejects_huge_index():

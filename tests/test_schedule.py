@@ -408,6 +408,14 @@ def test_config_rejects_bad_exact_pairs():
         ScheduleConfig(ScheduleMode.FIBONACCI, 0.3, exact=(2, 5))
 
 
+def test_exact_pair_allows_one_ulp_of_alpha1():
+    declared = (2 / 5) * math.pi
+    one_ulp_off = declared + math.ulp(declared)
+    assert ScheduleConfig(ScheduleMode.FIBONACCI, one_ulp_off, exact=(2, 5)).alpha1 == one_ulp_off
+    with pytest.raises(ValueError, match=r"^exact pair \(2, 5\) declares alpha1="):
+        ScheduleConfig(ScheduleMode.FIBONACCI, declared + 1e-12, exact=(2, 5))
+
+
 def test_exact_denominator_must_keep_angles_finite():
     # every angle is pi * r / q with r < 2q, so pi * 2q must be a finite double
     q = 2**1020
