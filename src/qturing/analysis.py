@@ -8,8 +8,10 @@ genuinely different gate sequence.  A trace measures the part of the network
 that ``engine.Subsystem`` names: the head, the tape or the whole network.
 A paired run takes one form, the ``(n, d2, overlap)`` rows of
 ``distance_rows``: ``distance`` writes them as they stream, and the fits
-read them once and keep only the points in their window.  This module does
-no arithmetic on a state.
+read them once and keep only the points in their window.  A single run's
+head rows, ``(n, s1, s2, s3, purity)``, come from ``trajectory_bloch``.
+Both sets of rows come from kernels in ``engine``; this module does no
+arithmetic on a state.
 
 Everything is deterministic; identical configurations produce bit-identical
 traces.  Each experiment is an independent pure computation.
@@ -52,20 +54,16 @@ def trajectory_bloch(
     initial: State,
     steps: int,
     record_every: int = 1,
-) -> Iterator[tuple[int, float, float, float]]:
-    """(step, head s1, s2, s3) rows of a single trajectory, yielded as it
-    advances: every ``record_every`` steps and at the last step.  ``pattern``
-    writes them.
+) -> Iterator[tuple[int, float, float, float, float]]:
+    """(step, head s1, s2, s3, purity) rows of a single trajectory, yielded
+    as it advances: every ``record_every`` steps and at the last step.
+    ``pattern`` writes them.
 
-    The states are those of ``engine.iterate`` and the head is read by
-    ``engine.head_bloch``.  A ``record_every`` below 1 raises ValueError, and
-    ``iterate`` rejects a negative ``steps``.
+    The rows are those of ``engine.head_rows``, which steps the run one
+    cycle per loop turn; it rejects a ``record_every`` below 1 and a
+    negative ``steps`` with ValueError.
     """
-    if record_every < 1:
-        raise ValueError(f"record_every must be >= 1, got {record_every}")
-    for n, state in engine.iterate(seq, initial, steps):
-        if n % record_every == 0 or n == steps:
-            yield (n, *engine.head_bloch(state))
+    return engine.head_rows(seq, initial, steps, record_every)
 
 
 def distance_rows(cfg: ExperimentConfig) -> Iterator[tuple[int, float, float]]:

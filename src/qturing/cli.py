@@ -176,8 +176,7 @@ def cmd_pattern(args: argparse.Namespace) -> int:
     schedule = parse_alpha1(args.alpha1, ScheduleMode(args.mode), 0.0)
     seq = AngleSequence(schedule)
     initial = engine.init_state(args.head_angle, TapeState(args.tape))
-    records = analysis.trajectory_bloch(seq, initial, args.steps, args.record_every)
-    rows = ((n, s1, s2, s3, s1 * s1 + s2 * s2 + s3 * s3) for n, s1, s2, s3 in records)
+    rows = analysis.trajectory_bloch(seq, initial, args.steps, args.record_every)
     config = {
         "schedule": _config_json(schedule),
         "steps": args.steps,

@@ -24,8 +24,16 @@ operations are pure functions of the state.
 A Bloch vector is a plain ``(s1, s2, s3)`` float tuple.  ``head_bloch``
 and ``tape_bloch`` read one from the four floats, each writing one spin's
 formula once.  ``pair_metrics`` defines a paired run's row from two
-states.  ``iterate`` steps a single run and ``pair_rows`` a paired one; no
-other loop in the package steps a state.
+states.  Three loops step a state, each for one kind of run: ``iterate``
+yields the states to callers that read them (``oracle-check``,
+``stability``), ``head_rows`` yields ``pattern``'s head rows and
+``pair_rows`` a paired run's rows.  The two kernels hold a state as four
+local floats and write the rotation inline, and the conditional NOT is a
+renaming.  IEEE addition and multiplication commute, so the flip leaves
+bit-identical every term that it only reorders: head s3, the network
+overlap z, the head's diagonal distance terms and the tape's off-diagonal
+one.  The kernels compute those once per cycle, and the rest, such as head
+s2, once per row.
 
 ``reduce_spin``, ``bloch_vector``, ``distance_sq`` and ``overlap_sq`` remain
 only as the density-matrix route: the tests hold the amplitude route to
@@ -106,8 +114,8 @@ def iterate(seq: AngleSequence, state: State, n_steps: int) -> Iterator[tuple[in
     stream; gate 2m applies the conditional NOT.  Each loop turn steps one
     cycle, and an odd count ends on a rotation by the stream's next angle.
     Deterministic and norm-preserving throughout.  ``oracle-check`` and
-    ``stability`` step through it, and ``pattern`` through
-    ``analysis.trajectory_bloch``.
+    ``stability`` step through it; ``head_rows`` and ``pair_rows`` are its
+    row kernels.
     """
     if n_steps < 0:
         raise ValueError(f"step count must be >= 0, got {n_steps}")
@@ -119,6 +127,51 @@ def iterate(seq: AngleSequence, state: State, n_steps: int) -> Iterator[tuple[in
         yield 2 * m, state
     if n_steps % 2:
         yield n_steps, apply_head_rotation(state, next(angles))
+
+
+def head_rows(
+    seq: AngleSequence, state: State, steps: int, record_every: int
+) -> Iterator[tuple[int, float, float, float, float]]:
+    """(n, s1, s2, s3, s1^2 + s2^2 + s3^2) rows of ``head_bloch`` for the
+    run started at ``state`` and driven by ``seq``: every ``record_every``
+    steps and at the last step.
+
+    The run steps one cycle per loop turn, held as four local floats and
+    rotated by the next angle of one ``angles()`` stream, as in
+    ``pair_rows``: the rotation is written inline, and the names keep the
+    state before the flip, so the flipped state is (x1, x0, y2, y3).  The
+    two record flags are computed once per cycle.  The flip leaves s3
+    bit-identical, so a recorded cycle computes it once; s2 is computed per
+    row, each with ``head_bloch``'s expressions in its order.  s1 is 0, so
+    the purity s2^2 + s3^2 equals the sum of three squares bit for bit.
+    An odd ``steps``' tail rotation, by the stream's next angle, calls
+    ``head_bloch`` itself.
+    """
+    if steps < 0:
+        raise ValueError(f"step count must be >= 0, got {steps}")
+    if record_every < 1:
+        raise ValueError(f"record_every must be >= 1, got {record_every}")
+    angles, cos, sin, every = seq.angles(), math.cos, math.sin, record_every
+    x1, x0, y2, y3 = state  # as if state were the flipped state: the flip is its own inverse
+    for n, angle in zip(range(2, steps + 1, 2), angles):
+        h = angle / 2.0
+        c, s = cos(h), sin(h)
+        x0, x1, y2, y3 = c * x1 + s * y2, c * x0 + s * y3, c * y2 - s * x1, c * y3 - s * x0
+        odd = (n - 1) % every == 0
+        even = n % every == 0 or n == steps
+        if not (odd or even):
+            continue
+        s3 = (y2 * y2 + y3 * y3) - (x0 * x0 + x1 * x1) + 0.0
+        sq3 = s3 * s3
+        if odd:
+            s2 = -2.0 * (x0 * y2 + x1 * y3) + 0.0
+            yield (n - 1, 0.0, s2, s3, s2 * s2 + sq3)
+        if even:
+            s2 = -2.0 * (x1 * y2 + x0 * y3) + 0.0
+            yield (n, 0.0, s2, s3, s2 * s2 + sq3)
+    if steps % 2:
+        s1, s2, s3 = head_bloch(apply_head_rotation((x1, x0, y2, y3), next(angles)))
+        yield (steps, s1, s2, s3, s1 * s1 + s2 * s2 + s3 * s3)
 
 
 def _lift(state: State) -> tuple[complex, complex, complex, complex]:

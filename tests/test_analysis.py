@@ -375,8 +375,9 @@ def test_trajectory_bloch_record_shape():
     recs = list(trajectory_bloch(seq, engine.init_state(0.0), 20, record_every=5))
     assert [n for n, *_ in recs] == [5, 10, 15, 20]
     for rec in recs:
-        assert type(rec) is tuple and len(rec) == 4
+        assert type(rec) is tuple and len(rec) == 5
         assert abs(rec[1]) < 1e-12
+        assert rec[4] == rec[1] * rec[1] + rec[2] * rec[2] + rec[3] * rec[3]
 
 
 @pytest.mark.parametrize("record_every", [0, -2])
@@ -408,22 +409,23 @@ def test_trajectory_bloch_rejects_negative_steps():
     tape=st.sampled_from(engine.TapeState),
     head_angle=st.sampled_from([0.0, 0.3, -1.1, math.pi / 2, math.pi, 2.5]),
     steps=st.sampled_from([1, 2, 3, 61, 2001]),
-    record_every=st.sampled_from([1, 2, 7, 10]),
+    record_every=st.sampled_from([1, 2, 3, 7, 10]),
 )
 def test_trajectory_bloch_rows_equal_the_complex_reference(
         alpha1, mode, tape, head_angle, steps, record_every):
-    # the rows are the complex reference's head Bloch vectors, bit for bit,
-    # at every record_every-th step and at the last one
+    # the rows are the complex reference's head Bloch vectors and their
+    # squared length, bit for bit, at every record_every-th step and at the
+    # last one
     if isinstance(alpha1, tuple):
         schedule = ScheduleConfig.exact_pi(*alpha1, mode=mode)
     else:
         schedule = ScheduleConfig(mode=mode, alpha1=alpha1)
     seq = AngleSequence(schedule)
-    expected = [
-        (n, *(x.hex() for x in reference.spin_bloch(state, "head")))
-        for n, state in reference.iterate(seq, reference.init_state(head_angle, tape), steps)
-        if n % record_every == 0 or n == steps
-    ]
-    got = [(n, *(x.hex() for x in bloch)) for n, *bloch
+    expected = []
+    for n, state in reference.iterate(seq, reference.init_state(head_angle, tape), steps):
+        if n % record_every == 0 or n == steps:
+            s1, s2, s3 = reference.spin_bloch(state, "head")
+            expected.append((n, *(x.hex() for x in (s1, s2, s3, s1 * s1 + s2 * s2 + s3 * s3))))
+    got = [(n, *(x.hex() for x in row)) for n, *row
            in trajectory_bloch(seq, engine.init_state(head_angle, tape), steps, record_every)]
     assert got == expected

@@ -765,42 +765,34 @@ class _Abort(Exception):
     pass
 
 
-#: (owner, name, stream) of what each streamed command reads once per CSV
-#: row: ``pattern`` calls ``engine.head_bloch`` once per step, and
-#: ``distance``'s kernel draws one angle per twin per cycle from the
-#: ``angles`` streams, which is two per cycle of two rows
-_ROW_CALL = {"pattern": (engine, "head_bloch", False),
-             "distance": (schedule.AngleSequence, "angles", True)}
+#: draws from the ``angles`` streams after which each streamed command's
+#: output fails, about 9000 of its 10000 rows in: ``pattern`` draws one
+#: angle per cycle of two rows, and ``distance``'s kernel one per twin per
+#: cycle, which is two per cycle of two rows
+_ABORT_DRAWS = {"pattern": 4500, "distance": 9000}
 
 
-def _fail_after(monkeypatch, tmp_path, calls, command="pattern"):
-    """Make the per-row read of ``command`` raise after ``calls`` rows, once
-    the output has started streaming into its temporary file."""
-    owner, name, stream = _ROW_CALL[command]
-    real = getattr(owner, name)
+def _fail_after(monkeypatch, tmp_path, command="pattern"):
+    """Make the ``angles`` streams raise after ``_ABORT_DRAWS[command]``
+    draws, once the output of ``command`` has started streaming into its
+    temporary file."""
+    real = schedule.AngleSequence.angles
     count = [0]
-
-    def tick():
-        count[0] += 1
-        if count[0] > calls:
-            (tmp,) = tmp_path.glob(f".{command}.csv.*.tmp")
-            assert tmp.stat().st_size > 0
-            raise _Abort
-
-    def flaky(*args):
-        tick()
-        return real(*args)
 
     def flaky_stream(self):
         for item in real(self):
-            tick()
+            count[0] += 1
+            if count[0] > _ABORT_DRAWS[command]:
+                (tmp,) = tmp_path.glob(f".{command}.csv.*.tmp")
+                assert tmp.stat().st_size > 0
+                raise _Abort
             yield item
 
-    monkeypatch.setattr(owner, name, flaky_stream if stream else flaky)
+    monkeypatch.setattr(schedule.AngleSequence, "angles", flaky_stream)
 
 
 def _assert_failure_mid_write_leaves_nothing(tmp_path, monkeypatch, command):
-    _fail_after(monkeypatch, tmp_path, 9000, command)
+    _fail_after(monkeypatch, tmp_path, command)
     with pytest.raises(_Abort):
         run_cli(command, "--alpha1", "2/5", "--steps", "10000",
                 "--out", str(tmp_path / f"{command}.csv"))
@@ -820,11 +812,30 @@ def test_failure_mid_write_keeps_earlier_output(tmp_path, monkeypatch):
     manifest = tmp_path / "pattern.csv.manifest.json"
     assert run_cli("pattern", "--alpha1", "0.3", "--steps", "10", "--out", str(out)) == 0
     before = (out.read_bytes(), manifest.read_bytes())
-    _fail_after(monkeypatch, tmp_path, 9000)
+    _fail_after(monkeypatch, tmp_path)
     with pytest.raises(_Abort):
         run_cli("pattern", "--alpha1", "2/5", "--steps", "10000", "--out", str(out))
     assert sorted(tmp_path.iterdir()) == [out, manifest]
     assert (out.read_bytes(), manifest.read_bytes()) == before
+
+
+@pytest.mark.parametrize("alpha1", ["2/5", "0.3"], ids=["exact", "float"])
+@pytest.mark.parametrize("steps", [2000, 2001])
+def test_pattern_draws_one_angle_per_rotation(tmp_path, monkeypatch, alpha1, steps):
+    # ceil(steps / 2) angles: one per cycle and one for an odd step count's
+    # tail rotation, none drawn ahead
+    real = schedule.AngleSequence.angles
+    draws = [0]
+
+    def counted(self):
+        for item in real(self):
+            draws[0] += 1
+            yield item
+
+    monkeypatch.setattr(schedule.AngleSequence, "angles", counted)
+    assert run_cli("pattern", "--alpha1", alpha1, "--steps", str(steps),
+                   "--out", str(tmp_path / "pattern.csv")) == 0
+    assert draws[0] == (steps + 1) // 2
 
 
 def test_failed_manifest_move_leaves_neither_file(tmp_path, monkeypatch):
@@ -898,8 +909,7 @@ def test_streamed_pattern_matches_joined_text(tmp_path):
     seq = analysis.AngleSequence(parse_alpha1("0.3", ScheduleMode.FIBONACCI, 0.0))
     recs = analysis.trajectory_bloch(seq, engine.init_state(0.0), 9000)
     lines = ["n,s1,s2,s3,purity"] + [
-        f"{n},{s1:.17g},{s2:.17g},{s3:.17g},{s1 * s1 + s2 * s2 + s3 * s3:.17g}"
-        for n, s1, s2, s3 in recs
+        f"{n},{s1:.17g},{s2:.17g},{s3:.17g},{purity:.17g}" for n, s1, s2, s3, purity in recs
     ]
     data = ("\n".join(lines) + "\n").encode("utf-8")
     assert out.read_bytes() == data

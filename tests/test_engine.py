@@ -16,6 +16,7 @@ from qturing.engine import (
     bloch_vector,
     distance_sq,
     head_bloch,
+    head_rows,
     init_state,
     iterate,
     overlap_sq,
@@ -589,3 +590,32 @@ def test_real_engine_is_the_complex_reference_bit_for_bit(alpha1, mode, delta, t
         for subsystem in ("head", "tape", "network"):
             got = pair_metrics(a, b, subsystem)
             assert repr(got) == repr(reference.pair_metrics(ca, cb, subsystem)), n
+
+
+@settings(max_examples=200, deadline=None)
+@given(alpha1=st.one_of(st.tuples(st.integers(-40, 40), st.integers(1, 300)),  # exact (p/q)*pi
+                        st.floats(min_value=-7.0, max_value=7.0)),
+       mode=st.sampled_from(list(ScheduleMode)),
+       tape=st.sampled_from(list(TapeState)),
+       head_angle=st.sampled_from([0.0, -0.0, 0.3, -1.1, math.pi / 2, math.pi, 2.5]),
+       steps=st.sampled_from([1, 2, 3, 61, 2001]),
+       record_every=st.sampled_from([1, 2, 3, 7, 10]))
+# s2 = -2 (+0.0) = -0.0 on every row until the + 0.0 turns it into 0.0
+@example(alpha1=(0, 1), mode=ScheduleMode.FIXED, tape=TapeState.MINUS_ONE, head_angle=-0.0,
+         steps=3, record_every=1)
+# the one row is the last step, which the record filter alone would skip
+@example(alpha1=(2, 5), mode=ScheduleMode.FIBONACCI, tape=TapeState.PLUS, head_angle=0.3,
+         steps=2, record_every=3)
+def test_head_rows_are_head_bloch_over_iterate_bit_for_bit(alpha1, mode, tape, head_angle,
+                                                           steps, record_every):
+    # the kernel's rows are head_bloch of iterate's states under the same
+    # filter, with the purity summed from all three components
+    seq = AngleSequence(_schedule(alpha1, mode, 0.0))
+    expected = []
+    for n, state in iterate(seq, init_state(head_angle, tape), steps):
+        if n % record_every == 0 or n == steps:
+            s1, s2, s3 = head_bloch(state)
+            expected.append((n, *(x.hex() for x in (s1, s2, s3, s1 * s1 + s2 * s2 + s3 * s3))))
+    got = [(n, *(x.hex() for x in row))
+           for n, *row in head_rows(seq, init_state(head_angle, tape), steps, record_every)]
+    assert got == expected
