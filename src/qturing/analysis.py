@@ -13,6 +13,13 @@ head rows, ``(n, s1, s2, s3, purity)``, come from ``trajectory_bloch``.
 Both sets of rows come from kernels in ``engine``; this module does no
 arithmetic on a state.
 
+Each input rule has one owner.  The ``engine`` kernels check step counts,
+record filters and subsystems; ``oracle`` checks the cycle index, the
+Fibonacci cap and the stability deltas; this module checks the fit windows,
+that a stability run's alpha1 is exact and that its orbit closes.  The
+command line adds rules of its own (``--steps >= 2`` and ``--delta >= 0``
+for the paired commands) that the library does not need.
+
 Everything is deterministic; identical configurations produce bit-identical
 traces.  Each experiment is an independent pure computation.
 """
@@ -28,25 +35,6 @@ from .engine import State, Subsystem
 from .schedule import AngleSequence, ScheduleConfig
 
 _SATURATION_GUARD = 0.5  # keep divergence fits clear of the d2 <= 2 ceiling
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """A paired run; its perturbation delta is ``schedule.delta``."""
-
-    schedule: ScheduleConfig
-    steps: int
-    subsystem: Subsystem
-    record_every: int = 1
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "subsystem", Subsystem(self.subsystem))
-        if self.steps < 2:
-            raise ValueError(f"steps must be >= 2, got {self.steps}")
-        if self.schedule.delta < 0.0:
-            raise ValueError(f"delta must be >= 0, got {self.schedule.delta}")
-        if self.record_every < 1:
-            raise ValueError(f"record_every must be >= 1, got {self.record_every}")
 
 
 def trajectory_bloch(
@@ -66,29 +54,33 @@ def trajectory_bloch(
     return engine.head_rows(seq, initial, steps, record_every)
 
 
-def distance_rows(cfg: ExperimentConfig) -> Iterator[tuple[int, float, float]]:
+def distance_rows(schedule: ScheduleConfig, steps: int, subsystem: Subsystem | str,
+                  record_every: int = 1) -> Iterator[tuple[int, float, float]]:
     """(step, squared distance, squared network overlap) of the unperturbed
     and delta-perturbed trajectories, yielded as they advance: at step 0,
     every ``record_every`` steps and at the last step.
 
-    Trajectory A starts from |-1, -1> under the unperturbed schedule;
+    Trajectory A starts from |-1, -1> under ``schedule`` with delta = 0;
     trajectory B starts with the head rotated by delta = ``schedule.delta``
     under the schedule re-seeded with a_0 = delta.  The rows are those of
-    ``engine.pair_rows``, which steps both twins together.
+    ``engine.pair_rows``, which steps both twins together and checks the
+    arguments when the first row is drawn: a negative ``steps``, a
+    ``record_every`` below 1 and an unknown ``subsystem`` raise ValueError.
+    Any other step count and any finite delta, negative ones included, run.
     """
-    schedule = cfg.schedule
     return engine.pair_rows(
         AngleSequence(replace(schedule, delta=0.0)), AngleSequence(schedule),
         engine.init_state(0.0), engine.init_state(schedule.delta),
-        cfg.steps, cfg.record_every, cfg.subsystem,
+        steps, record_every, subsystem,
     )
 
 
-def distance_trace(cfg: ExperimentConfig) -> list[tuple[int, float, float]]:
+def distance_trace(schedule: ScheduleConfig, steps: int, subsystem: Subsystem | str,
+                   record_every: int = 1) -> list[tuple[int, float, float]]:
     """The rows of ``distance_rows`` in a list.  No command calls it; it is
     kept because the benchmark's layer tracer (bench/layers.py) wraps it by
     name."""
-    return list(distance_rows(cfg))
+    return list(distance_rows(schedule, steps, subsystem, record_every))
 
 
 def _slope(xs: array, ys: array) -> float:
@@ -186,28 +178,26 @@ def _orbit_run(schedule: ScheduleConfig, m: int, delta: float) -> tuple[float, f
 
 def stability_numeric(
     m: int, deltas: Iterable[float], schedule: ScheduleConfig
-) -> list[StabilityResult]:
-    """Orbit stability factors from simulation, one result per delta.
+) -> tuple[oracle.StabilityLimits, list[StabilityResult]]:
+    """The oracle's limits at cycle m, and one simulated result per delta.
 
-    Checks every input before the first run: alpha1 must be an exact p/q
-    of pi, m >= 1, every delta in (0, 0.1], and cycle m must close a
-    periodic orbit (NoPeriodicOrbit otherwise).  Then runs the unperturbed
-    trajectory once and each delta-perturbed one once, to step 2m + 2.
-    M11 and M22 are the in-plane head components at step 2m over their
-    initial values; each must agree with its finite-delta closed form to
-    1e-8 relative, or ClosedFormMismatch is raised.  The tape factor is the
-    response ratio delta sigma3(2m+2) / delta sigma3(2), which converges to
+    Nothing runs before every input is checked: alpha1 must be an exact p/q
+    of pi (checked here), ``oracle.stability_limits`` checks m >= 1 and the
+    Fibonacci cap, ``oracle.stability_matrix_closed`` checks each delta in
+    (0, 0.1], and cycle m must close a periodic orbit (NoPeriodicOrbit
+    otherwise).  Then the unperturbed trajectory runs once and each
+    delta-perturbed one once, to step 2m + 2.  M11 and M22 are the in-plane
+    head components at step 2m over their initial values; each must agree
+    with its finite-delta closed form to 1e-8 relative, or
+    ClosedFormMismatch is raised.  The tape factor is the response ratio
+    delta sigma3(2m+2) / delta sigma3(2), which converges to
     F_{m+1} sin(a_{m+2}) / sin(a_1) as delta -> 0; it is None where
-    ``oracle.tape_factor_undefined`` gives a reason.
+    ``limits.tape`` is.
     """
     if schedule.exact is None:
         raise ValueError("stability requires alpha1 as an exact p/q of pi")
-    if m < 1:
-        raise ValueError(f"cycle index must be >= 1, got {m}")
-    deltas = list(deltas)
-    for delta in deltas:
-        if not 0.0 < delta <= 0.1:
-            raise ValueError(f"delta must lie in (0, 0.1], got {delta}")
+    limits = oracle.stability_limits(m, schedule)
+    forms = [(delta, *oracle.stability_matrix_closed(m, delta)) for delta in deltas]
     p, q = schedule.exact
     conds = list(oracle.orbit_conditions(p, q, m))
     if not all(conds):
@@ -215,24 +205,22 @@ def stability_numeric(
     s2, s3, tape_2a, tape_end_a = _orbit_run(schedule, m, 0.0)
     if abs(s2) > 1e-8 or abs(s3 + 1.0) > 1e-8:
         raise ValueError(f"orbit fails to close after {2 * m} steps: head (s2, s3) = ({s2}, {s3})")
-    tape_defined = oracle.tape_factor_undefined(m, schedule) is None
 
     results = []
-    for delta in deltas:
+    for delta, m11_closed, m22_closed in forms:
         s2, s3, tape_2b, tape_end_b = _orbit_run(schedule, m, delta)
         m11 = s2 / math.sin(delta)
         m22 = s3 / (-math.cos(delta))
-        m11_closed, m22_closed = oracle.stability_matrix_closed(m, delta)
         for num, closed, name in ((m11, m11_closed, "M11"), (m22, m22_closed, "M22")):
             if abs(num - closed) > 1e-8 * abs(closed):
                 raise ClosedFormMismatch(
                     f"{name} simulation/closed-form mismatch: {num!r} vs {closed!r}"
                 )
         tape = None
-        if tape_defined:
+        if limits.tape is not None:
             denom = tape_2b - tape_2a
             if denom == 0.0:
                 raise ValueError("tape perturbation vanished at step 2; cannot form ratio")
             tape = (tape_end_b - tape_end_a) / denom
         results.append(StabilityResult(delta, m11, m22, m11_closed, m22_closed, tape))
-    return results
+    return limits, results

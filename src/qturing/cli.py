@@ -28,8 +28,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, NoReturn
 
 from . import __version__, analysis, engine, oracle
-from .analysis import ExperimentConfig, Subsystem
-from .engine import TapeState
+from .engine import Subsystem, TapeState
 from .schedule import LOG_GOLDEN_RATIO, AngleSequence, ScheduleConfig, ScheduleMode
 
 _EXACT_RE = re.compile(r"^\s*([+-]?\d+)\s*/\s*(\d+)\s*$")
@@ -49,8 +48,9 @@ _CHUNK_ROWS = 1024
 _PATTERN_CSV = ("n,s1,s2,s3,purity", "%d,%.17g,%.17g,%.17g,%.17g")
 _DISTANCE_CSV = ("n,d2,overlap", "%d,%.17g,%.17g")
 
-#: smallest --steps of the paired-trace commands, 1 elsewhere; their trace
-#: (ExperimentConfig) needs two steps and a delta >= 0
+#: smallest --steps of the paired-trace commands, 1 elsewhere.  This rule and
+#: their --delta >= 0 rule belong to the command line alone: the library's
+#: paired runs (engine.pair_rows) take any step count >= 0 and any finite delta
 _MIN_STEPS = {"distance": 2, "lyapunov": 2}
 
 #: help texts shared by several subcommands; each states the bound main checks
@@ -190,12 +190,7 @@ def cmd_pattern(args: argparse.Namespace) -> int:
 
 def cmd_distance(args: argparse.Namespace) -> int:
     schedule = parse_alpha1(args.alpha1, ScheduleMode(args.mode), args.delta)
-    cfg = ExperimentConfig(
-        schedule=schedule,
-        steps=args.steps,
-        subsystem=Subsystem(args.subsystem),
-        record_every=args.record_every,
-    )
+    rows = analysis.distance_rows(schedule, args.steps, args.subsystem, args.record_every)
     config = {
         "schedule": _config_json(schedule),
         "delta": args.delta,
@@ -203,8 +198,7 @@ def cmd_distance(args: argparse.Namespace) -> int:
         "subsystem": args.subsystem,
         "record_every": args.record_every,
     }
-    _write_output(Path(args.out), _csv_chunks(*_DISTANCE_CSV, analysis.distance_rows(cfg)),
-                  "distance", config)
+    _write_output(Path(args.out), _csv_chunks(*_DISTANCE_CSV, rows), "distance", config)
     return 0
 
 
@@ -216,7 +210,7 @@ def cmd_stability(args: argparse.Namespace) -> int:
         "deltas": args.deltas,
     }
     try:
-        found = analysis.stability_numeric(args.m, args.deltas, schedule)
+        limits, found = analysis.stability_numeric(args.m, args.deltas, schedule)
     except analysis.ClosedFormMismatch as exc:  # a check failure, not a usage error
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -230,7 +224,6 @@ def cmd_stability(args: argparse.Namespace) -> int:
         _emit_report(report, args.out, "stability", config)
         raise
     p, q = schedule.exact
-    limits = oracle.stability_limits(args.m, schedule)
     results = []
     for res in found:
         row = {
@@ -309,14 +302,10 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
 
 def cmd_lyapunov(args: argparse.Namespace) -> int:
     schedule = parse_alpha1(args.alpha1, ScheduleMode(args.mode), args.delta)
-    cfg = ExperimentConfig(
-        schedule=schedule,
-        # the fit reads d2 at steps 2 * fit_lo ... 2 * fit_hi only
-        steps=min(args.steps, max(2, 2 * args.fit_hi)),
-        subsystem=Subsystem(args.subsystem),
-    )
-    # the fit checks its window before it draws a row, so a bad window runs no cycle
-    rate = analysis.lyapunov_estimate(analysis.distance_rows(cfg), (args.fit_lo, args.fit_hi))
+    # the fit reads d2 at steps 2 * fit_lo ... 2 * fit_hi only, and checks its
+    # window before it draws a row, so a bad window runs no cycle
+    rows = analysis.distance_rows(schedule, min(args.steps, 2 * args.fit_hi), args.subsystem)
+    rate = analysis.lyapunov_estimate(rows, (args.fit_lo, args.fit_hi))
     report = {
         "rate_per_cycle": rate,
         "fit_window_cycles": [args.fit_lo, args.fit_hi],

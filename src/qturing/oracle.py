@@ -65,8 +65,8 @@ class StabilityLimits(NamedTuple):
 def _check_fib_index(m: int) -> None:
     if m > _MAX_FIB_INDEX:
         raise ValueError(
-            f"index {m} exceeds {_MAX_FIB_INDEX}; Fibonacci factors would "
-            "silently lose double precision"
+            f"Fibonacci index {m} exceeds {_MAX_FIB_INDEX}, a policy bound of the "
+            "closed forms, not a precision limit: F_k rounds in double from k = 79 on"
         )
 
 
@@ -76,19 +76,6 @@ def sin_alpha1(config: ScheduleConfig) -> float:
         return 0.0
     s = sin(config.alpha1)
     return 0.0 if abs(s) < 1e-12 else s
-
-
-def tape_factor_undefined(m: int, config: ScheduleConfig) -> str | None:
-    """Why the tape stability factor is undefined at cycle m, or None.
-
-    The factor is defined exactly when the period 2m is divisible by 4 and
-    sin(alpha1) != 0.
-    """
-    if m % 2 != 0:
-        return f"tape factor needs period 2m = 0 (mod 4), got m = {m}"
-    if sin_alpha1(config) == 0.0:
-        return "tape factor diverges: sin(alpha1) = 0"
-    return None
 
 
 def _cycle(wp: float, wm: float, c_plus: float, c_even: float) -> tuple[float, float, float, float]:
@@ -274,14 +261,16 @@ def stability_limits(m: int, config: ScheduleConfig) -> StabilityLimits:
     """Small-perturbation limits of the orbit stability factors at cycle m.
 
     Returns (F_{m-1}, 1, F_{m+1} * sin(a_{m+2}) / sin(a_1)) for the angle
-    schedule of ``config``; the tape factor is None exactly where
-    ``tape_factor_undefined`` gives a reason.
+    schedule of ``config``.  The tape factor is defined exactly when the
+    period 2m is divisible by 4 and sin(alpha1) != 0, and is None
+    elsewhere.  Raises ValueError for m < 1 and past the Fibonacci cap
+    (m > MAX_CYCLE); ``analysis.stability_numeric`` relies on both checks.
     """
     if m < 1:
         raise ValueError(f"cycle index must be >= 1, got {m}")
     _check_fib_index(m + 2)
     tape = None
-    if tape_factor_undefined(m, config) is None:
+    if m % 2 == 0 and sin_alpha1(config) != 0.0:
         tape = fib(m + 1) * sin(AngleSequence(config).angle(m + 2)) / sin_alpha1(config)
     return StabilityLimits(fib(m - 1), 1.0, tape)
 

@@ -62,6 +62,11 @@ INVALID = [
     ["stability", "--alpha1", "2/5", "--m", "20", "--deltas", "abc"],
     ["pattern", "--alpha1", "nan", "--out", "x.csv"],
     ["pattern", "--alpha1", "1/1" + "0" * 5000, "--out", "x.csv"],
+    # fit windows that end at cycle 0, 1 and -1, which cap lyapunov's trace at
+    # 0, 2 and -2 steps; the inverted window is rejected before any row is drawn
+    ["lyapunov", "--alpha1", "2/5", "--fit-lo", "0", "--fit-hi", "0"],
+    ["lyapunov", "--alpha1", "2/5", "--fit-lo", "0", "--fit-hi", "1"],
+    ["lyapunov", "--alpha1", "2/5", "--fit-lo", "0", "--fit-hi", "-1"],
 ]
 
 #: exact, negative exact and float alpha1

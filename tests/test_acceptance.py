@@ -12,7 +12,6 @@ import pytest
 
 from qturing import engine, oracle
 from qturing.analysis import (
-    ExperimentConfig,
     Subsystem,
     distance_rows,
     distance_trace,
@@ -183,7 +182,7 @@ def test_criterion_4_stability_numbers():
     start = time.perf_counter()
     schedule = _schedule((2, 5))
 
-    (res6,) = stability_numeric(20, [1e-6], schedule)
+    _, (res6,) = stability_numeric(20, [1e-6], schedule)
     m11_ok = abs(res6.m11 - 4181) / 4181 < 1e-3
     closed_ok = (
         abs(res6.m11 - res6.m11_closed) < 1e-8 * abs(res6.m11_closed)
@@ -193,7 +192,7 @@ def test_criterion_4_stability_numbers():
     # the unit response of the third component is a vanishing-perturbation
     # statement: the finite-delta value carries a delta^2 (F_m^2+F_{m-1}^2)/2
     # offset (3.2e-5 at delta=1e-6), so verify the limit on a delta sweep
-    sweep = [res.m22 for res in stability_numeric(20, (1e-5, 1e-6, 1e-7), schedule)]
+    sweep = [res.m22 for res in stability_numeric(20, (1e-5, 1e-6, 1e-7), schedule)[1]]
     errs = [abs(1.0 - v) for v in sweep]
     m22_ok = errs[0] > errs[1] > errs[2] and errs[-1] < 1e-6
 
@@ -215,12 +214,8 @@ def test_criterion_4_stability_numbers():
 
 def test_criterion_5_lyapunov_rate():
     start = time.perf_counter()
-    cfg = ExperimentConfig(
-        schedule=_schedule((2, 5), delta=1e-8),
-        steps=80,
-        subsystem=Subsystem.HEAD,
-    )
-    rate = lyapunov_estimate(distance_rows(cfg), (5, 15))
+    rate = lyapunov_estimate(distance_rows(_schedule((2, 5), delta=1e-8), 80, Subsystem.HEAD),
+                             (5, 15))
     elapsed = time.perf_counter() - start
     rel = abs(rate - LOG_GOLDEN_RATIO) / LOG_GOLDEN_RATIO
     ok = rel < 0.05 and elapsed < 1.0
@@ -235,12 +230,8 @@ def test_criterion_5_lyapunov_rate():
 
 def test_criterion_6a_fixed_schedule_constant():
     start = time.perf_counter()
-    cfg = ExperimentConfig(
-        schedule=_schedule((2, 5), delta=0.001, mode=ScheduleMode.FIXED),
-        steps=120,
-        subsystem=Subsystem.NETWORK,
-    )
-    rows = distance_trace(cfg)
+    rows = distance_trace(_schedule((2, 5), delta=0.001, mode=ScheduleMode.FIXED), 120,
+                          Subsystem.NETWORK)
     steps, d2, _ = np.asarray(rows).T
     window = d2[(steps >= 4) & (steps <= 60)]
     spread = float(np.abs(window - d2_at(rows, 4)).max())
@@ -252,23 +243,19 @@ def test_criterion_6a_fixed_schedule_constant():
 
 def test_criterion_6b_arithmetic_schedule_power_law():
     start = time.perf_counter()
-    cfg = ExperimentConfig(
-        schedule=_schedule((2, 5), delta=0.001, mode=ScheduleMode.ARITHMETIC),
-        steps=200,
-        subsystem=Subsystem.HEAD,
-    )
-    k = fit_power_law(distance_rows(cfg), (4, 60))
+    schedule = _schedule((2, 5), delta=0.001, mode=ScheduleMode.ARITHMETIC)
+    k = fit_power_law(distance_rows(schedule, 200, Subsystem.HEAD), (4, 60))
 
     # a_{m+1} = 2 a_m - a_{m-1} re-seeded with a_0 = delta (a_1 fixed) shifts
     # a_m by delta (1 - m), so the cumulative angle moves by
     # delta (1 + m - m(m+1)/2) and the distance grows like n^2
-    seq_b = AngleSequence(cfg.schedule)
-    seq_a = AngleSequence(replace(cfg.schedule, delta=0.0))
+    seq_b = AngleSequence(schedule)
+    seq_a = AngleSequence(replace(schedule, delta=0.0))
     shift_errs = []
     for m in range(101):
         r = (
             seq_b.cumulative_plus(m) - seq_a.cumulative_plus(m)
-            - cfg.schedule.delta * (1 + m - m * (m + 1) / 2)
+            - schedule.delta * (1 + m - m * (m + 1) / 2)
         ) % (2 * math.pi)
         shift_errs.append(min(r, 2 * math.pi - r))
     shift_ok = all(e < 1e-9 for e in shift_errs)  # a NaN fails here, unlike in max()
@@ -284,12 +271,7 @@ def test_criterion_6b_arithmetic_schedule_power_law():
 
 def test_criterion_6c_fibonacci_schedule_exponential_saturating():
     start = time.perf_counter()
-    cfg = ExperimentConfig(
-        schedule=_schedule((2, 5), delta=0.001),
-        steps=400,
-        subsystem=Subsystem.HEAD,
-    )
-    rows = distance_trace(cfg)
+    rows = distance_trace(_schedule((2, 5), delta=0.001), 400, Subsystem.HEAD)
     end = presaturation_end(rows)
     ns = [n for n, _, _ in rows if 4 <= n < end and d2_at(rows, n) > 0]
     slope = float(

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qturing.analysis import (
-    ExperimentConfig,
     NoPeriodicOrbit,
     Subsystem,
     distance_rows,
@@ -31,31 +30,32 @@ from qturing.schedule import (
 TWO_FIFTHS_PI = ScheduleConfig.exact_pi(2, 5)
 
 
-def experiment(mode, delta, steps, subsystem, alpha1_exact=(2, 5), **kw):
+def experiment(mode, delta, steps, subsystem, alpha1_exact=(2, 5), record_every=1):
+    """The arguments of ``distance_rows`` and ``distance_trace``."""
     schedule = ScheduleConfig.exact_pi(*alpha1_exact, mode=mode, delta=delta)
-    return ExperimentConfig(schedule=schedule, steps=steps, subsystem=subsystem, **kw)
+    return schedule, steps, subsystem, record_every
 
 
 # --- distance traces -----------------------------------------------------------
 
 def test_unperturbed_trace_is_identically_zero():
     cfg = experiment(ScheduleMode.FIBONACCI, 0.0, 100, Subsystem.HEAD)
-    _, d2, overlap = np.asarray(distance_trace(cfg)).T
+    _, d2, overlap = np.asarray(distance_trace(*cfg)).T
     assert np.all(d2 == 0.0)  # identical trajectories, exact zero
     np.testing.assert_allclose(overlap, 1.0, atol=1e-12)
 
 
 def test_trace_is_deterministic():
     cfg = experiment(ScheduleMode.FIBONACCI, 0.001, 150, Subsystem.HEAD)
-    a = distance_trace(cfg)
-    b = distance_trace(cfg)
+    a = distance_trace(*cfg)
+    b = distance_trace(*cfg)
     assert np.array_equal(a, b)
 
 
 def test_trace_bounds_and_network_identity():
     for sub in Subsystem:
         cfg = experiment(ScheduleMode.FIBONACCI, 0.001, 300, sub)
-        _, d2, overlap = np.asarray(distance_trace(cfg)).T
+        _, d2, overlap = np.asarray(distance_trace(*cfg)).T
         assert d2.min() >= 0.0
         assert d2.max() <= 2.0 + 1e-10
         assert overlap.min() >= 0.0
@@ -68,7 +68,7 @@ def test_trace_bounds_and_network_identity():
 
 def test_fixed_schedule_network_distance_is_constant():
     cfg = experiment(ScheduleMode.FIXED, 0.001, 120, Subsystem.NETWORK)
-    rows = distance_trace(cfg)
+    rows = distance_trace(*cfg)
     baseline = reference.d2_at(rows, 4)
     steps, d2, _ = np.asarray(rows).T
     window = d2[(steps >= 4) & (steps <= 60)]
@@ -78,70 +78,77 @@ def test_fixed_schedule_network_distance_is_constant():
 def test_fixed_schedule_head_distance_stays_small():
     # the head distance oscillates at O(delta^2) but never grows
     cfg = experiment(ScheduleMode.FIXED, 0.001, 400, Subsystem.HEAD)
-    assert np.asarray(distance_trace(cfg))[:, 1].max() < 1e-5
+    assert np.asarray(distance_trace(*cfg))[:, 1].max() < 1e-5
 
 
 def test_fibonacci_trace_saturates_below_two():
     cfg = experiment(ScheduleMode.FIBONACCI, 0.001, 600, Subsystem.HEAD)
-    d2 = np.asarray(distance_trace(cfg))[:, 1]
+    d2 = np.asarray(distance_trace(*cfg))[:, 1]
     assert d2.max() <= 2.0 + 1e-10
     assert d2.max() > 1.5  # reaches the saturation regime
 
 
 def test_record_every_thins_records():
     cfg = experiment(ScheduleMode.FIBONACCI, 0.001, 100, Subsystem.HEAD, record_every=10)
-    assert [n for n, _, _ in distance_rows(cfg)] == list(range(0, 101, 10))
+    assert [n for n, _, _ in distance_rows(*cfg)] == list(range(0, 101, 10))
 
 
 def test_record_every_keeps_final_step():
     thin = distance_trace(
-        experiment(ScheduleMode.FIBONACCI, 0.001, 105, Subsystem.HEAD, record_every=10)
+        *experiment(ScheduleMode.FIBONACCI, 0.001, 105, Subsystem.HEAD, record_every=10)
     )
-    full = distance_trace(experiment(ScheduleMode.FIBONACCI, 0.001, 105, Subsystem.HEAD))
+    full = distance_trace(*experiment(ScheduleMode.FIBONACCI, 0.001, 105, Subsystem.HEAD))
     assert [n for n, _, _ in thin] == [*range(0, 101, 10), 105]
     assert reference.d2_at(thin, 105) == reference.d2_at(full, 105)
 
 
 def test_trace_lookup_helpers():
     cfg = experiment(ScheduleMode.FIBONACCI, 0.001, 50, Subsystem.HEAD)
-    rows = distance_trace(cfg)
+    rows = distance_trace(*cfg)
     assert reference.d2_at(rows, 10) == rows[10][1]
     with pytest.raises(KeyError):
         reference.d2_at(rows, 999)
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        experiment(ScheduleMode.FIBONACCI, -0.1, 100, Subsystem.HEAD)
-    with pytest.raises(ValueError):
-        experiment(ScheduleMode.FIBONACCI, 0.1, 1, Subsystem.HEAD)
-    with pytest.raises(ValueError):
-        experiment(ScheduleMode.FIBONACCI, 0.1, 100, Subsystem.HEAD, record_every=0)
+    # the paired kernel checks the arguments when the first row is drawn; a
+    # negative delta and a single step are library inputs that run (the
+    # reference-twin test below covers them), only the CLI rejects them
+    for args, message in [
+        (experiment(ScheduleMode.FIBONACCI, 0.1, -1, Subsystem.HEAD),
+         "^step count must be >= 0, got -1$"),
+        (experiment(ScheduleMode.FIBONACCI, 0.1, 100, Subsystem.HEAD, record_every=0),
+         "^record_every must be >= 1, got 0$"),
+        (experiment(ScheduleMode.FIBONACCI, 0.1, 100, "spin"),
+         "^subsystem must be 'head', 'tape' or 'network', got 'spin'$"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            next(distance_rows(*args))
 
 
 # --- growth classes ---------------------------------------------------------------
 
 def test_lyapunov_rate_fibonacci():
     cfg = experiment(ScheduleMode.FIBONACCI, 1e-8, 80, Subsystem.HEAD)
-    rate = lyapunov_estimate(distance_rows(cfg), (5, 15))
+    rate = lyapunov_estimate(distance_rows(*cfg), (5, 15))
     assert rate == pytest.approx(LOG_GOLDEN_RATIO, rel=0.05)
 
 
 def test_lyapunov_rate_arithmetic_is_negligible():
     cfg = experiment(ScheduleMode.ARITHMETIC, 1e-8, 450, Subsystem.HEAD)
-    rate = lyapunov_estimate(distance_rows(cfg), (100, 200))
+    rate = lyapunov_estimate(distance_rows(*cfg), (100, 200))
     assert abs(rate) < 0.05
 
 
 def test_lyapunov_rate_fixed_is_negligible():
     cfg = experiment(ScheduleMode.FIXED, 1e-8, 450, Subsystem.HEAD)
-    rate = lyapunov_estimate(distance_rows(cfg), (100, 200))
+    rate = lyapunov_estimate(distance_rows(*cfg), (100, 200))
     assert abs(rate) < 0.05
 
 
 def test_lyapunov_guards():
     cfg = experiment(ScheduleMode.FIBONACCI, 0.001, 120, Subsystem.HEAD)
-    rows = distance_trace(cfg)
+    rows = distance_trace(*cfg)
     with pytest.raises(ValueError):  # window reaches saturation
         lyapunov_estimate(rows, (5, 40))
     with pytest.raises(ValueError):  # too few points
@@ -153,7 +160,7 @@ def test_lyapunov_guards():
     ((-3, 15), "fit window starts at cycle -3, must start at >= 0"),
 ], ids=["inverted", "negative-start"])
 def test_lyapunov_rejects_bad_window(window, message):
-    rows = distance_rows(experiment(ScheduleMode.FIBONACCI, 1e-8, 60, Subsystem.HEAD))
+    rows = distance_rows(*experiment(ScheduleMode.FIBONACCI, 1e-8, 60, Subsystem.HEAD))
     with pytest.raises(ValueError) as err:
         lyapunov_estimate(rows, window)
     assert str(err.value) == message
@@ -161,7 +168,7 @@ def test_lyapunov_rejects_bad_window(window, message):
 
 
 def test_lyapunov_window_may_start_at_cycle_zero():
-    rows = distance_rows(experiment(ScheduleMode.FIBONACCI, 1e-8, 60, Subsystem.HEAD))
+    rows = distance_rows(*experiment(ScheduleMode.FIBONACCI, 1e-8, 60, Subsystem.HEAD))
     assert lyapunov_estimate(rows, (0, 15)) == pytest.approx(LOG_GOLDEN_RATIO, rel=0.2)
 
 
@@ -175,7 +182,7 @@ def _with_nan_at(rows, step):
 ], ids=["lyapunov", "power-law"])
 def test_fits_reject_a_nan_d2_in_their_window(fit, window):
     # NaN compares False both ways, so it used to drop out of the fit unseen
-    rows = distance_trace(experiment(ScheduleMode.FIBONACCI, 1e-8, 80, Subsystem.HEAD))
+    rows = distance_trace(*experiment(ScheduleMode.FIBONACCI, 1e-8, 80, Subsystem.HEAD))
     clean = fit(rows, window)
     with pytest.raises(ValueError, match=r"^d2\(20\) is NaN$"):
         fit(_with_nan_at(rows, 20), window)
@@ -205,13 +212,13 @@ def test_fits_skip_rows_with_zero_d2():
 
 def test_distance_rows_stream_the_trace():
     cfg = experiment(ScheduleMode.FIBONACCI, 0.001, 105, Subsystem.TAPE, record_every=10)
-    rows = distance_rows(cfg)
+    rows = distance_rows(*cfg)
     assert iter(rows) is rows  # a generator: rows are made as they are read
-    assert list(rows) == distance_trace(cfg)
+    assert list(rows) == distance_trace(*cfg)
 
 
 @pytest.mark.parametrize("steps,every", [
-    (2, 1), (3, 1), (4, 1), (4, 2), (4, 3), (61, 1), (60, 7), (61, 7), (301, 10),
+    (0, 1), (1, 1), (2, 1), (3, 1), (4, 1), (4, 2), (4, 3), (61, 1), (60, 7), (61, 7), (301, 10),
     (1001, 2), (1001, 3),
 ])
 @pytest.mark.parametrize("schedule", [
@@ -220,14 +227,18 @@ def test_distance_rows_stream_the_trace():
     ScheduleConfig(ScheduleMode.FIBONACCI, 1.2566370616, delta=1e-3),
     ScheduleConfig(ScheduleMode.ARITHMETIC, 1.2566370616, delta=1e-3),
     ScheduleConfig.exact_pi(-2, 5, mode=ScheduleMode.FIXED, delta=0.3),
-], ids=["exact", "exact-delta0", "float", "arithmetic", "fixed"])
+    ScheduleConfig.exact_pi(3, 7, delta=-1e-3),
+    ScheduleConfig(ScheduleMode.FIBONACCI, 1.2566370616, delta=-0.5),
+], ids=["exact", "exact-delta0", "float", "arithmetic", "fixed", "exact-negative",
+        "float-negative"])
 def test_distance_rows_match_the_complex_reference_twins(schedule, steps, every):
     # both twins stepped in one kernel give, row for row and bit for bit, the
     # pair metrics of two complex reference runs stepped one after the other.
     # A record filter of 2 keeps even steps only and one of 3 alternates
     # odd-only and even-only cycles, and 4 steps at 3 keep both halves of
     # cycle 2: each subsystem's rows, with and without the terms reused
-    # across the flip, and the odd tail of 1001 steps
+    # across the flip, and the odd tail of 1001 steps.  Zero and one step
+    # and a negative delta run too: only the CLI rejects them
     for subsystem in ("head", "tape", "network"):
         start = (reference.init_state(0.0), reference.init_state(schedule.delta))
         runs = [reference.iterate(AngleSequence(cfg), state, steps)
@@ -235,21 +246,20 @@ def test_distance_rows_match_the_complex_reference_twins(schedule, steps, every)
         rows = [(0, *reference.pair_metrics(*start, subsystem))]
         rows += [(n, *reference.pair_metrics(a, b, subsystem))
                  for (n, a), (_, b) in zip(*runs) if n % every == 0 or n == steps]
-        cfg = ExperimentConfig(schedule, steps, Subsystem(subsystem), record_every=every)
-        assert repr(list(distance_rows(cfg))) == repr(rows)
+        assert repr(list(distance_rows(schedule, steps, subsystem, every))) == repr(rows)
 
 
 def test_lyapunov_requires_recorded_cycles():
     cfg = experiment(ScheduleMode.FIBONACCI, 1e-8, 80, Subsystem.HEAD, record_every=64)
     with pytest.raises(ValueError):
-        lyapunov_estimate(distance_rows(cfg), (5, 15))
+        lyapunov_estimate(distance_rows(*cfg), (5, 15))
 
 
 def test_arithmetic_growth_is_quadratic():
     # seed re-seeding shifts the arithmetic angles linearly, so the
     # cumulative deviation and hence D grow ~ n^2 before saturation
     cfg = experiment(ScheduleMode.ARITHMETIC, 0.001, 200, Subsystem.HEAD)
-    k = fit_power_law(distance_rows(cfg), (4, 60))
+    k = fit_power_law(distance_rows(*cfg), (4, 60))
     assert 1.8 < k < 2.5
 
 
@@ -257,7 +267,7 @@ def test_fibonacci_growth_class_shared_by_subsystems():
     # ln D slope per step ~ ln(beta)/2 for head, tape and network alike
     for sub in Subsystem:
         cfg = experiment(ScheduleMode.FIBONACCI, 0.001, 200, sub)
-        rows = distance_trace(cfg)
+        rows = distance_trace(*cfg)
         end = reference.presaturation_end(rows)
         ns = [n for n, _, _ in rows if 4 <= n < end and reference.d2_at(rows, n) > 0]
         ys = [0.5 * math.log(reference.d2_at(rows, n)) for n in ns]
@@ -268,13 +278,13 @@ def test_fibonacci_growth_class_shared_by_subsystems():
 def test_fit_power_law_needs_points():
     cfg = experiment(ScheduleMode.ARITHMETIC, 0.001, 100, Subsystem.HEAD)
     with pytest.raises(ValueError):
-        fit_power_law(distance_rows(cfg), (4, 6))
+        fit_power_law(distance_rows(*cfg), (4, 6))
 
 
 # --- stability factors --------------------------------------------------------------
 
 def test_stability_matrix_at_known_orbit():
-    (res,) = stability_numeric(20, [1e-6], TWO_FIFTHS_PI)
+    _, (res,) = stability_numeric(20, [1e-6], TWO_FIFTHS_PI)
     assert res.m11 == pytest.approx(4181, rel=1e-3)
     assert res.m11 == pytest.approx(res.m11_closed, rel=1e-8)
     assert res.m22 == pytest.approx(res.m22_closed, rel=1e-8)
@@ -283,13 +293,13 @@ def test_stability_matrix_at_known_orbit():
 
 
 def test_stability_matrix_m22_limit():
-    (res,) = stability_numeric(20, [1e-7], TWO_FIFTHS_PI)
+    _, (res,) = stability_numeric(20, [1e-7], TWO_FIFTHS_PI)
     assert abs(res.m22 - 1.0) < 1e-6
 
 
 def test_stability_matrix_trivial_orbit():
     # alpha1 = 0: every cycle closes, M11 -> F_1 = 1 at m = 2
-    (res,) = stability_numeric(2, [1e-6], ScheduleConfig.exact_pi(0, 1))
+    _, (res,) = stability_numeric(2, [1e-6], ScheduleConfig.exact_pi(0, 1))
     assert res.m11 == pytest.approx(1.0, abs=1e-9)
     assert res.m22 == pytest.approx(1.0, abs=1e-9)
 
@@ -297,7 +307,7 @@ def test_stability_matrix_trivial_orbit():
 def test_stability_matrix_converges_to_limits():
     limits = stability_limits(20, TWO_FIFTHS_PI)
     errs_m11, errs_m22 = [], []
-    for res in stability_numeric(20, (1e-4, 1e-5, 1e-6), TWO_FIFTHS_PI):
+    for res in stability_numeric(20, (1e-4, 1e-5, 1e-6), TWO_FIFTHS_PI)[1]:
         errs_m11.append(abs(res.m11 - limits.m11) / limits.m11)
         errs_m22.append(abs(res.m22 - limits.m22))
     assert errs_m11[0] > errs_m11[1] > errs_m11[2]
@@ -335,11 +345,23 @@ def test_stability_checks_every_delta_before_the_first_run(monkeypatch):
         stability_numeric(60, [1e-4, 0.5], ScheduleConfig.exact_pi(1, 2))
 
 
+def test_stability_asks_the_oracle_before_any_run(monkeypatch):
+    # past the limits' cap (F_{m+2} with m + 2 > 90) the oracle stops the
+    # call before any trajectory runs, although the closed forms at m exist
+    def no_run(*args):
+        raise AssertionError("a trajectory ran before the oracle was asked")
+
+    monkeypatch.setattr(engine, "iterate", no_run)
+    for m in (89, 90):
+        with pytest.raises(ValueError, match=f"^Fibonacci index {m + 2} exceeds 90, a policy"):
+            stability_numeric(m, [1e-4], ScheduleConfig.exact_pi(0, 1))
+
+
 def test_tape_stability_matches_closed_difference_quotient():
     seq = AngleSequence(TWO_FIFTHS_PI)
     a1 = TWO_FIFTHS_PI.alpha1
     a22 = seq.angle(22)
-    for res in stability_numeric(20, (1e-5, 1e-6), TWO_FIFTHS_PI):
+    for res in stability_numeric(20, (1e-5, 1e-6), TWO_FIFTHS_PI)[1]:
         delta, sim = res.delta, res.tape
         closed = (math.cos(a22 + delta * fib(21)) - math.cos(a22)) / (
             math.cos(a1 + delta) - math.cos(a1)
@@ -350,7 +372,7 @@ def test_tape_stability_matches_closed_difference_quotient():
 def test_tape_stability_converges_to_limit():
     limit = stability_limits(20, TWO_FIFTHS_PI).tape
     errs = []
-    for res in stability_numeric(20, (1e-4, 1e-5, 1e-6, 1e-7), TWO_FIFTHS_PI):
+    for res in stability_numeric(20, (1e-4, 1e-5, 1e-6, 1e-7), TWO_FIFTHS_PI)[1]:
         errs.append(abs(res.tape - limit) / limit)
     assert all(a > b for a, b in zip(errs, errs[1:]))
     assert errs[-1] < 1e-3  # within 0.1% by delta = 1e-7
@@ -364,7 +386,7 @@ def test_tape_stability_rejects_odd_half_period():
 
 def test_tape_stability_rejects_degenerate_angle():
     # sin(alpha1) = 0: the tape ratio is undefined, as the CLI reports it
-    (res,) = stability_numeric(2, [1e-6], ScheduleConfig.exact_pi(0, 1))
+    _, (res,) = stability_numeric(2, [1e-6], ScheduleConfig.exact_pi(0, 1))
     assert res.tape is None
 
 

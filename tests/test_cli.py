@@ -290,8 +290,8 @@ _POINT_READS = ("angle", "cumulative_plus", "cumulative_minus")
 
 def test_stability_runs_each_trajectory_once(monkeypatch, capsys):
     # one unperturbed and one perturbed run per delta, each to step 2m + 2;
-    # the analysis checks the orbit closure once, and the tape factor's
-    # definition is read once by the analysis and once for the limits
+    # the analysis checks the orbit closure once and asks the oracle for the
+    # limits once, and the report reuses them
     runs = []
     real_iterate = engine.iterate
 
@@ -302,14 +302,14 @@ def test_stability_runs_each_trajectory_once(monkeypatch, capsys):
     monkeypatch.setattr(engine, "iterate", iterate)
     gates = _count_calls(monkeypatch, engine, "apply_head_rotation", "apply_qcnot")
     orbit_checks = _count_calls(monkeypatch, oracle, "orbit_conditions")
-    tape_checks = _count_calls(monkeypatch, oracle, "tape_factor_undefined")
+    limit_calls = _count_calls(monkeypatch, oracle, "stability_limits")
     assert run_cli("stability", "--alpha1", "2/5", "--m", "20",
                    "--deltas", "1e-4,1e-5,1e-6") == 0
     assert len(json.loads(capsys.readouterr().out)["results"]) == 3
     assert runs == [42, 42, 42, 42]
     assert gates[0] == 168
     assert orbit_checks[0] == 1
-    assert tape_checks[0] <= 2
+    assert limit_calls[0] == 1
 
 
 @pytest.mark.parametrize("m", ["-5", "0"])
@@ -937,12 +937,9 @@ def test_streamed_distance_matches_collected_trace(tmp_path):
     out = tmp_path / "dist.csv"
     assert run_cli("distance", "--alpha1", "2/5", "--steps", "9001",
                    "--subsystem", "network", "--out", str(out)) == 0
-    cfg = analysis.ExperimentConfig(
-        schedule=parse_alpha1("2/5", ScheduleMode.FIBONACCI, 0.001),
-        steps=9001, subsystem="network")
-    lines = ["n,d2,overlap"] + [
-        f"{n},{d2:.17g},{ov:.17g}" for n, d2, ov in analysis.distance_trace(cfg)
-    ]
+    rows = analysis.distance_trace(parse_alpha1("2/5", ScheduleMode.FIBONACCI, 0.001), 9001,
+                                   "network")
+    lines = ["n,d2,overlap"] + [f"{n},{d2:.17g},{ov:.17g}" for n, d2, ov in rows]
     assert out.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
 
 

@@ -430,11 +430,12 @@ def test_tape_factor_is_defined_for_a_tiny_sin_alpha1():
     # sin(pi / 10**9) ~ 3.1e-9 is small but not zero; only |sin| < 1e-12 counts as 0
     config = ScheduleConfig.exact_pi(1, 10**9)
     assert 0.0 < oracle.sin_alpha1(config) < 1e-8
-    assert oracle.tape_factor_undefined(2, config) is None
+    assert stability_limits(2, config).tape == pytest.approx(6.0, rel=1e-9)  # F_3 sin(3x) / sin(x)
 
 
 def test_stability_limits_rejects_huge_index():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^Fibonacci index 97 exceeds 90, a policy bound of the "
+                       "closed forms, not a precision limit: F_k rounds in double from k = 79 on$"):
         stability_limits(95, ScheduleConfig.exact_pi(2, 5))
 
 
